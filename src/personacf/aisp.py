@@ -56,10 +56,6 @@ def aisp_score_items(model: AispModel, user: int, candidates) -> np.ndarray:
     return (weights * logits).sum(axis=0)
 
 
-def aisp_score(model: AispModel, user: int, item: int) -> float:
-    return float(aisp_score_items(model, user, [item])[0])
-
-
 def aisp_scorer(model: AispModel):
     def scorer(user: int, candidates: np.ndarray) -> np.ndarray:
         return aisp_score_items(model, user, candidates)

@@ -21,14 +21,15 @@ from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusError, RatingFormat, load_ratings, split_leave_one_out
 from .explain import explain_user, render_markdown
 from .model import (
+    CheckpointError,
     ModelConfig,
     init_model,
     load_checkpoint,
     model_scorer,
     save_checkpoint,
 )
-from .ranking import RankingProtocol, evaluate
-from .trainer import LossConfig, TrainingDiverged, train
+from .ranking import evaluate
+from .trainer import TrainingDiverged, train
 
 
 def _load_split(cfg: RunConfig):
@@ -48,18 +49,6 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     if not cfg.deterministic:
         lines.append(f"# timestamp\t{time.strftime('%Y-%m-%dT%H:%M:%S')}")
     return lines
-
-
-def _loss_config(cfg: RunConfig) -> LossConfig:
-    return LossConfig(**vars(cfg.loss))
-
-
-def _protocol(cfg: RunConfig) -> RankingProtocol:
-    return RankingProtocol(
-        num_sampled_negatives=cfg.eval.num_sampled_negatives,
-        cutoff=cfg.eval.cutoff,
-        candidate_mode=cfg.eval.candidate_mode,
-    )
 
 
 def _write_ranking_report(path: Path, cfg: RunConfig, report) -> None:
@@ -125,7 +114,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             f"val hr@10 {rec.val_hr:.4f} ndcg@10 {rec.val_ndcg:.4f}"
         )
 
-    best, history = train(split, model, _loss_config(cfg), rng, _protocol(cfg), log=log)
+    best, history = train(split, model, cfg.loss, rng, cfg.eval, log=log)
     lines = _header_lines(cfg)
     lines.append("epoch\tdata_loss\tpos_entropy\tneg_entropy\ttotal_loss\tval_hr\tval_ndcg")
     for rec in history:
@@ -170,7 +159,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         model_scorer(model),
         split.test,
         data,
-        _protocol(cfg),
+        cfg.eval,
         np.random.default_rng(cfg.seed),
     )
     path = out / "ranking_report.tsv"
@@ -204,7 +193,7 @@ def cmd_aisp(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     baseline = aisp_mod.build_aisp(split.train, space, cfg.aisp.personas, rng)
     scorer = aisp_mod.aisp_scorer(baseline)
-    ranking = evaluate(scorer, split.test, data, _protocol(cfg), np.random.default_rng(cfg.seed))
+    ranking = evaluate(scorer, split.test, data, cfg.eval, np.random.default_rng(cfg.seed))
     _write_ranking_report(out / "aisp_ranking_report.tsv", cfg, ranking)
     tdd = taste_mod.tdd_report(scorer, split, space, list_size=cfg.taste.list_size)
     _write_tdd_report(out / "aisp_tdd_report.tsv", cfg, tdd)
@@ -285,7 +274,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ConfigError, CorpusError, FileNotFoundError) as exc:
+    except (CheckpointError, ConfigError, CorpusError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDiverged, OSError, ValueError) as exc:

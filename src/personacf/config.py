@@ -1,5 +1,8 @@
 """Run configuration: one YAML file per run, unknown keys rejected.
 
+The loss and eval sections are the trainer's and the ranker's own
+dataclasses, so their values are validated while the file is parsed.
+
 Defaults follow the evaluated setup: 64-dim embeddings and attention
 space, 4 negatives per positive, Adam at 0.001 with batches of 256,
 100-dim PCA, 50 taste clusters, 30-item recommendation lists.
@@ -13,6 +16,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
+from .ranking import RankingProtocol
+from .trainer import LossConfig
+
 
 class ConfigError(ValueError):
     pass
@@ -25,7 +31,10 @@ def _from_dict(cls, raw: dict, context: str):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    return cls(**raw)
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 @dataclass
@@ -45,28 +54,6 @@ class ModelSection:
 
 
 @dataclass
-class LossSection:
-    alpha: float = 0.5
-    lambda_pos: float = 1.0
-    lambda_neg: float = 1.0
-    negatives_per_positive: int = 4
-    learning_rate: float = 0.001
-    batch_size: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    patience: int = 5
-    max_epochs: int = 200
-
-
-@dataclass
-class EvalSection:
-    num_sampled_negatives: int = 100
-    cutoff: int = 10
-    candidate_mode: str = "sampled"
-
-
-@dataclass
 class TasteSection:
     pca_dims: int = 100
     clusters: int = 50
@@ -83,8 +70,8 @@ class AispSection:
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelSection = field(default_factory=ModelSection)
-    loss: LossSection = field(default_factory=LossSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    loss: LossConfig = field(default_factory=LossConfig)
+    eval: RankingProtocol = field(default_factory=RankingProtocol)
     taste: TasteSection = field(default_factory=TasteSection)
     aisp: AispSection = field(default_factory=AispSection)
     seed: int = 0
@@ -99,8 +86,8 @@ class RunConfig:
 _SECTIONS = {
     "dataset": DatasetConfig,
     "model": ModelSection,
-    "loss": LossSection,
-    "eval": EvalSection,
+    "loss": LossConfig,
+    "eval": RankingProtocol,
     "taste": TasteSection,
     "aisp": AispSection,
 }

@@ -1,4 +1,4 @@
-"""Rating-file ingestion, leave-one-out splitting and negative sampling.
+"""Rating-file ingestion, leave-one-out splitting and the negative-sampling table.
 
 Converts delimited rating files into dense-indexed implicit-feedback
 interactions, holds out the last (and second-to-last) item of each user,
@@ -199,28 +199,7 @@ def build_sampling_table(train: Interactions, power: float = 0.5) -> SamplingTab
     if total <= 0:
         raise CorpusError("empty training set: no events to build sampling table")
     probs = weights / total
-    return SamplingTable(probabilities=probs, cumulative=np.cumsum(probs))
-
-
-def sample_negatives(
-    table: SamplingTable,
-    exclude: set[int],
-    n: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Draw ``n`` items i.i.d. from the table, resampling draws that hit
-    ``exclude``. Deterministic for a fixed generator state."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sampleable = np.count_nonzero(table.probabilities > 0)
-    sampleable -= sum(1 for j in exclude if table.probabilities[j] > 0)
-    if sampleable < n:
-        raise CorpusError(
-            f"only {sampleable} sampleable items outside the exclusion set, need {n}"
-        )
-    out: list[int] = []
-    while len(out) < n:
-        for j in table.draw(rng, n - len(out)):
-            if j not in exclude:
-                out.append(int(j))
-    return out[:n]
+    cumulative = np.cumsum(probs)
+    # rounding can leave the sum below 1; a draw above it would index past the catalogue
+    cumulative[np.flatnonzero(probs)[-1] :] = 1.0
+    return SamplingTable(probabilities=probs, cumulative=cumulative)

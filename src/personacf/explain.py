@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import Interactions
-from .model import PersonaModel, model_scorer, softmax
-from .ranking import top_k_recommendations
+from .model import PersonaModel, attend, model_scorer
+from .ranking import top_k_recommendations, top_positions, unconsumed
 
 
 @dataclass
@@ -33,10 +31,20 @@ class ExplanationReport:
     training_items: list[LabeledItem]
 
 
-def _attention_weights(model: PersonaModel, user: int, items: np.ndarray) -> np.ndarray:
-    psi = model.personas[user] @ model.attn_user_map  # (r, d_a)
-    phi = model.item_vectors[items] @ model.attn_item_map.T  # (m, d_a)
-    return softmax(psi @ phi.T, axis=0)  # (r, m)
+def _labeled(model: PersonaModel, user: int, items, scored: bool) -> list[LabeledItem]:
+    """Label each item with its largest-attention persona, from one forward
+    pass over ``items``."""
+    trace = attend(model, user, items)
+    labels = trace.attn_weights.argmax(axis=0)  # argmax takes the lowest index on ties
+    return [
+        LabeledItem(
+            item=int(j),
+            persona=int(labels[i]),
+            weight=float(trace.attn_weights[labels[i], i]),
+            score=float(trace.scores[i]) if scored else None,
+        )
+        for i, j in enumerate(items)
+    ]
 
 
 def explain_user(
@@ -48,58 +56,20 @@ def explain_user(
     """``data`` is the training interactions; n is the list length."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    consumed = set(data.per_user_items[user])
-    candidates = np.array(
-        [j for j in range(data.num_items) if j not in consumed], dtype=np.intp
+    candidates = unconsumed(data.num_items, data.per_user_items[user])
+    per_persona = (
+        model.personas[user] @ model.item_vectors[candidates].T + model.item_bias[candidates]
     )
-    personas = model.personas[user]  # (r, d)
-
-    persona_lists = []
-    per_persona = personas @ model.item_vectors[candidates].T + model.item_bias[candidates]
-    for k in range(model.config.personas):
-        order = np.lexsort((candidates, -per_persona[k]))
-        top = order[:n]
-        persona_lists.append(
-            [(int(candidates[i]), float(per_persona[k, i])) for i in top]
-        )
-
-    scorer = model_scorer(model)
-    final_items, _ = top_k_recommendations(scorer, user, data, n)
-    final_arr = np.asarray(final_items, dtype=np.intp)
-    final_list = []
-    if len(final_arr):
-        weights = _attention_weights(model, user, final_arr)
-        scores = scorer(user, final_arr)
-        labels = weights.argmax(axis=0)  # argmax takes the lowest index on ties
-        for i, j in enumerate(final_arr):
-            final_list.append(
-                LabeledItem(
-                    item=int(j),
-                    persona=int(labels[i]),
-                    weight=float(weights[labels[i], i]),
-                    score=float(scores[i]),
-                )
-            )
-
-    training_items = []
-    history = np.asarray(data.per_user_items[user], dtype=np.intp)
-    if len(history):
-        weights = _attention_weights(model, user, history)
-        labels = weights.argmax(axis=0)
-        for i, j in enumerate(history):
-            training_items.append(
-                LabeledItem(
-                    item=int(j),
-                    persona=int(labels[i]),
-                    weight=float(weights[labels[i], i]),
-                )
-            )
-
+    persona_lists = [
+        [(int(candidates[i]), float(row[i])) for i in top_positions(row, candidates, n)]
+        for row in per_persona
+    ]
+    final_items, _ = top_k_recommendations(model_scorer(model), user, data, n)
     return ExplanationReport(
         user=user,
         persona_lists=persona_lists,
-        final_list=final_list,
-        training_items=training_items,
+        final_list=_labeled(model, user, final_items, scored=True),
+        training_items=_labeled(model, user, data.per_user_items[user], scored=False),
     )
 
 

@@ -14,6 +14,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 
+class CheckpointError(ValueError):
+    """Raised when a checkpoint's blocks do not match its stored config."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_users: int
@@ -66,14 +70,12 @@ class PersonaModel:
 
 @dataclass
 class AttentionTrace:
-    """Intermediates of one (user, item) forward pass."""
+    """One user's forward pass over an item array (m items)."""
 
-    persona_attn_vectors: np.ndarray  # (r, d_a)
-    item_attn_vector: np.ndarray  # (d_a,)
-    attn_logits: np.ndarray  # (r,)
-    attn_weights: np.ndarray  # (r,)
-    attentive_user: np.ndarray  # (d,)
-    score: float
+    attn_logits: np.ndarray  # (r, m)
+    attn_weights: np.ndarray  # (r, m), softmax over personas per item
+    attentive_user: np.ndarray  # (m, d)
+    scores: np.ndarray  # (m,)
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> PersonaModel:
@@ -97,38 +99,23 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def attend(model: PersonaModel, user: int, item: int) -> AttentionTrace:
-    """Forward pass for one (user, item) pair."""
+def attend(model: PersonaModel, user: int, items) -> AttentionTrace:
+    """The inference forward pass: one user over an array of items."""
+    items = np.asarray(items, dtype=np.intp)
     personas = model.personas[user]  # (r, d)
-    v = model.item_vectors[item]  # (d,)
+    vectors = model.item_vectors[items]  # (m, d)
     psi = personas @ model.attn_user_map  # (r, d_a)
-    phi = model.attn_item_map @ v  # (d_a,)
-    logits = psi @ phi  # (r,)
-    weights = softmax(logits)
-    x = weights @ personas  # (d,)
-    score = float(x @ v + model.item_bias[item])
-    return AttentionTrace(
-        persona_attn_vectors=psi,
-        item_attn_vector=phi,
-        attn_logits=logits,
-        attn_weights=weights,
-        attentive_user=x,
-        score=score,
-    )
-
-
-def score_all_items(model: PersonaModel, user: int, candidates: np.ndarray) -> np.ndarray:
-    """Batched scores for one user over a list of candidate items;
-    matches mapping attend() over the list."""
-    candidates = np.asarray(candidates, dtype=np.intp)
-    personas = model.personas[user]  # (r, d)
-    items = model.item_vectors[candidates]  # (m, d)
-    psi = personas @ model.attn_user_map  # (r, d_a)
-    phi = items @ model.attn_item_map.T  # (m, d_a)
+    phi = vectors @ model.attn_item_map.T  # (m, d_a)
     logits = psi @ phi.T  # (r, m)
     weights = softmax(logits, axis=0)  # (r, m)
     x = weights.T @ personas  # (m, d)
-    return np.einsum("md,md->m", x, items) + model.item_bias[candidates]
+    scores = np.einsum("md,md->m", x, vectors) + model.item_bias[items]
+    return AttentionTrace(logits, weights, x, scores)
+
+
+def score_all_items(model: PersonaModel, user: int, candidates) -> np.ndarray:
+    """Scores for one user over an array of candidate items."""
+    return attend(model, user, candidates).scores
 
 
 def model_scorer(model: PersonaModel):
@@ -163,14 +150,28 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[PersonaModel, dict]:
+    """Read a checkpoint, checking every block's shape and float dtype
+    against the checkpoint's own config."""
     with np.load(path) as data:
+        if "meta" not in data.files:
+            raise CheckpointError(f"{path}: no meta record")
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        model = PersonaModel(
-            config=ModelConfig(**meta["config"]),
-            personas=data["personas"],
-            item_vectors=data["item_vectors"],
-            attn_user_map=data["attn_user_map"],
-            attn_item_map=data["attn_item_map"],
-            item_bias=data["item_bias"],
-        )
-    return model, meta
+        config = ModelConfig(**meta["config"])
+        d, da = config.embedding_dim, config.attention_dim
+        shapes = {
+            "personas": (config.num_users, config.personas, d),
+            "item_vectors": (config.num_items, d),
+            "attn_user_map": (d, da),
+            "attn_item_map": (da, d),
+            "item_bias": (config.num_items,),
+        }
+        blocks = {}
+        for name, shape in shapes.items():
+            block = data[name] if name in data.files else None
+            if block is None or block.shape != shape or block.dtype.kind != "f":
+                found = "missing" if block is None else f"{block.dtype} {block.shape}"
+                raise CheckpointError(
+                    f"{path}: block {name!r} is {found}, config needs float {shape}"
+                )
+            blocks[name] = block
+    return PersonaModel(config=config, **blocks), meta

@@ -36,6 +36,19 @@ class RankingReport:
     skipped: list[int] = field(default_factory=list)
 
 
+def unconsumed(num_items: int, items) -> np.ndarray:
+    """Sorted intp array of the indices in range(num_items) not in ``items``."""
+    mask = np.ones(num_items, dtype=bool)
+    mask[np.fromiter(items, dtype=np.intp)] = False
+    return np.flatnonzero(mask)
+
+
+def top_positions(scores: np.ndarray, items: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the ``n`` best entries: descending score, ascending
+    item index on ties."""
+    return np.lexsort((items, -scores))[:n]
+
+
 def _rank_of_target(scores: np.ndarray, candidates: np.ndarray, target_pos: int) -> int:
     """1-based rank by descending score, ascending item index on ties."""
     t_score = scores[target_pos]
@@ -69,11 +82,9 @@ def evaluate(
     skipped: list[int] = []
     hits = 0.0
     gains = 0.0
-    all_items = np.arange(data.num_items)
     for user in sorted(targets):
         target = targets[user]
-        pool = np.setdiff1d(all_items, np.fromiter(interacted[user], dtype=np.intp))
-        pool = pool[pool != target]
+        pool = unconsumed(data.num_items, [target, *interacted[user]])
         if protocol.candidate_mode == "sampled":
             if len(pool) < protocol.num_sampled_negatives:
                 if len(pool) == 0:
@@ -112,13 +123,9 @@ def top_k_recommendations(
     second return value flags a short list (fewer than k candidates)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    consumed = set(data.per_user_items[user])
-    candidates = np.array(
-        [j for j in range(data.num_items) if j not in consumed], dtype=np.intp
-    )
+    candidates = unconsumed(data.num_items, data.per_user_items[user])
     if len(candidates) == 0:
         return [], True
     scores = np.asarray(scorer(user, candidates), dtype=float)
-    order = np.lexsort((candidates, -scores))
-    top = candidates[order[:k]].tolist()
+    top = candidates[top_positions(scores, candidates, k)].tolist()
     return top, len(candidates) < k

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Interactions, Split, build_sampling_table
+from .corpus import CorpusError, Interactions, Split, build_sampling_table
 from .model import PersonaModel, model_scorer, softmax
 from .ranking import RankingProtocol, evaluate
 
@@ -225,6 +225,19 @@ class Adam:
             param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _check_negatives_drawable(train: Interactions, probabilities: np.ndarray) -> None:
+    """Refuse a corpus where some user's training items cover every item
+    the table can draw: redrawing their negatives would never stop."""
+    drawable = np.count_nonzero(probabilities)
+    for user, items in enumerate(train.per_user_items):
+        if np.count_nonzero(probabilities[np.asarray(items, dtype=np.intp)]) == drawable:
+            name = train.user_ids[user] if train.user_ids else user
+            raise CorpusError(
+                f"user {name!r}: training items cover every sampleable item, "
+                "so no negative can be drawn"
+            )
+
+
 def _draw_batch_negatives(
     users: np.ndarray,
     cumulative: np.ndarray,
@@ -262,6 +275,7 @@ def train(
     """
     protocol = protocol or RankingProtocol()
     table = build_sampling_table(split.train)
+    _check_negatives_drawable(split.train, table.probabilities)
     train_sets = split.train.item_sets()
     events = np.array(split.train.events, dtype=np.intp)
     if all_interacted is None:

@@ -21,7 +21,7 @@ from personacf.corpus import (
     load_ratings,
     split_leave_one_out,
 )
-from personacf.explain import _attention_weights, explain_user
+from personacf.explain import explain_user
 from personacf.model import ModelConfig, attend, init_model, model_scorer
 from personacf.ranking import RankingProtocol, evaluate
 from personacf.taste import (
@@ -301,10 +301,10 @@ def test_criterion_10_entropy_dynamics():
     pos, negs = 1, [2, 3]
     m = random_model(np.random.default_rng(5), r=2)
     concentrate = LossConfig(alpha=0.0, lambda_pos=1.0, lambda_neg=0.0)
-    maxima = [attend(m, 0, pos).attn_weights.max()]
+    maxima = [attend(m, 0, [pos]).attn_weights.max()]
     for _ in range(100):
         sgd_step(m, gradients(m, 0, pos, negs, concentrate), lr=0.1)
-        maxima.append(attend(m, 0, pos).attn_weights.max())
+        maxima.append(attend(m, 0, [pos]).attn_weights.max())
     assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
     assert maxima[-1] > maxima[0]
 
@@ -312,7 +312,7 @@ def test_criterion_10_entropy_dynamics():
     spread = LossConfig(alpha=0.0, lambda_pos=0.0, lambda_neg=1.0)
     for _ in range(500):
         sgd_step(m, gradients(m, 0, pos, negs, spread), lr=0.05)
-    finals = [attend(m, 0, n).attn_weights.max() for n in negs]
+    finals = [attend(m, 0, [n]).attn_weights.max() for n in negs]
     for f in finals:
         assert f == pytest.approx(0.5, abs=0.05)
     print(
@@ -374,7 +374,7 @@ def test_criterion_12_synthetic_separability():
     list_purities = []
     for u in range(mixed):
         items = np.array(split.train.per_user_items[u])
-        weights = _attention_weights(model, u, items)
+        weights = attend(model, u, items).attn_weights
         winners = weights.argmax(axis=0)
         for side in range(2):
             mask = (items // block) == side

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_interactions
-from personacf.aisp import AispModel, aisp_score, aisp_score_items, build_aisp
+from personacf.aisp import AispModel, aisp_score_items, build_aisp
 from personacf.taste import TasteSpace
 
 
@@ -59,7 +59,7 @@ class TestScore:
             persona_count=1,
         )
         for j in range(6):
-            assert aisp_score(model, 0, j) == pytest.approx(float(vectors[2] @ vectors[j]), rel=1e-12)
+            assert aisp_score_items(model, 0, [j])[0] == pytest.approx(float(vectors[2] @ vectors[j]), rel=1e-12)
 
     def test_orthogonal_unit_personas_analytic(self):
         personas = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -67,7 +67,7 @@ class TestScore:
         model = AispModel(user_personas=[personas], item_vectors=item_vectors, persona_count=2)
         # logits (1, 0): attention e/(e+1) on persona 0, score e/(e+1)*1
         expected = math.e / (math.e + 1.0)
-        assert aisp_score(model, 0, 0) == pytest.approx(expected, abs=1e-12)
+        assert aisp_score_items(model, 0, [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_persona_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -98,4 +98,4 @@ class TestScore:
         model = AispModel(user_personas=[personas], item_vectors=items, persona_count=2)
         batch = aisp_score_items(model, 0, np.arange(10))
         for j in range(10):
-            assert batch[j] == pytest.approx(aisp_score(model, 0, j), rel=1e-12)
+            assert batch[j] == pytest.approx(aisp_score_items(model, 0, [j])[0], rel=1e-12)

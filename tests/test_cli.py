@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+import personacf
 from personacf.cli import main
 
 
@@ -98,6 +104,47 @@ class TestErrors:
         assert main(["eval", "-c", str(cfg2),
                      "--checkpoint", str(out / "checkpoint.npz")]) == 1
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,values", [
+        ("loss", {"alpha": 2.0}),
+        ("eval", {"candidate_mode": "bogus"}),
+        ("eval", {"cutoff": 0}),
+        ("loss", {"negatives_per_positive": 0}),
+    ])
+    def test_invalid_value_is_a_config_error(self, tmp_path, ratings_file, capsys,
+                                              section, values):
+        cfg = write_config(tmp_path, ratings_file, tmp_path / "o", **{section: values})
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: ")
+
+    def test_no_drawable_negative_exits_instead_of_hanging(self, tmp_path):
+        # after the split each user trains on item 1 alone, the only item
+        # with sampling mass, so every negative draw would be rejected
+        ratings = tmp_path / "ratings.tsv"
+        rows = [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 4)]
+        ratings.write_text("".join(f"{u}\t{j}\t5\t{t}\n" for t, (u, j) in enumerate(rows)))
+        cfg = write_config(tmp_path, ratings, tmp_path / "o")
+        env = {**os.environ, "PYTHONPATH": str(Path(personacf.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "personacf.cli", "train", "-c", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: user 'a'")
+
+    def test_truncated_checkpoint_block(self, tmp_path, ratings_file, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, ratings_file, out)
+        assert main(["train", "-c", str(cfg)]) == 0
+        ckpt = out / "checkpoint.npz"
+        with np.load(ckpt) as data:
+            blocks = dict(data)
+        blocks["item_vectors"] = blocks["item_vectors"][:-1]
+        np.savez(ckpt, **blocks)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "item_vectors" in err
 
 
 class TestPipeline:

@@ -6,6 +6,8 @@ from personacf.config import (
     load_config,
     parse_config,
 )
+from personacf.ranking import RankingProtocol
+from personacf.trainer import LossConfig
 
 
 class TestParse:
@@ -26,6 +28,11 @@ class TestParse:
     def test_unknown_section_key_rejected_with_context(self):
         with pytest.raises(ConfigError, match="loss.*learning_rte"):
             parse_config({"loss": {"learning_rte": 0.1}})
+
+    def test_sections_are_the_library_dataclasses(self):
+        cfg = parse_config({"loss": {"alpha": 0.25}, "eval": {"cutoff": 5}})
+        assert cfg.loss == LossConfig(alpha=0.25)
+        assert cfg.eval == RankingProtocol(cutoff=5)
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="model"):
@@ -50,6 +57,10 @@ class TestHash:
         base = RunConfig().hash()
         assert parse_config({"seed": 1}).hash() != base
         assert parse_config({"loss": {"alpha": 0.4}}).hash() != base
+
+    def test_default_hash_pinned(self):
+        # report headers of earlier runs carry this hash
+        assert RunConfig().hash() == "fc2cd7b6e8bb4878"
 
     def test_sixteen_hex_chars(self):
         h = RunConfig().hash()

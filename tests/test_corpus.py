@@ -1,14 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from personacf import trainer
 from personacf.corpus import (
     CorpusError,
     RatingFormat,
     build_sampling_table,
     load_ratings,
-    sample_negatives,
     split_leave_one_out,
 )
+from personacf.model import ModelConfig, init_model
+from personacf.trainer import LossConfig, _draw_batch_negatives
 
 TAB = RatingFormat(delimiter="\t", columns=("user", "item", "rating", "timestamp"))
 
@@ -171,8 +175,26 @@ class TestSamplingTable:
         freq = np.bincount(draws, minlength=3) / 10**6
         np.testing.assert_allclose(freq, [1 / 2, 1 / 3, 1 / 6], atol=0.01)
 
+    def test_draw_below_one_stays_in_range(self):
+        from conftest import make_interactions
+
+        # trailing items no user trained on: a draw past the cumulative end
+        # would return an index with zero probability or past the catalogue
+        top_draw = SimpleNamespace(random=lambda size: np.full(size, np.nextafter(1.0, 0.0)))
+        rng = np.random.default_rng(8)
+        short = 0
+        for _ in range(200):
+            rows = [rng.permutation(30)[: rng.integers(1, 12)].tolist() for _ in range(9)]
+            table = build_sampling_table(make_interactions(rows, num_items=40))
+            short += np.cumsum(table.probabilities)[-1] < 1.0
+            j = table.draw(top_draw, 1)[0]
+            assert j < 40 and table.probabilities[j] > 0
+        assert short  # some tables sum below 1 before the fix
+
 
 class TestSampleNegatives:
+    """The trainer's negative sampler and the guard that train() runs first."""
+
     def _table(self):
         from conftest import make_interactions
 
@@ -180,26 +202,35 @@ class TestSampleNegatives:
             make_interactions([[0, 1, 2, 3, 4, 5]], num_items=6)
         )
 
+    def _draw(self, table, exclude, n, rng):
+        return _draw_batch_negatives(np.array([0]), table.cumulative, [exclude], n, rng)[0]
+
     def test_forced_single_outcome(self):
         table = self._table()
-        out = sample_negatives(table, {0, 1, 2, 3, 4}, 1, np.random.default_rng(0))
-        assert out == [5]
+        out = self._draw(table, {0, 1, 2, 3, 4}, 1, np.random.default_rng(0))
+        assert out.tolist() == [5]
 
     def test_never_returns_excluded(self):
         table = self._table()
         rng = np.random.default_rng(5)
         exclude = {1, 3}
         for _ in range(100):
-            for j in sample_negatives(table, exclude, 4, rng):
+            for j in self._draw(table, exclude, 4, rng):
                 assert j not in exclude
 
     def test_deterministic_under_seed(self):
         table = self._table()
-        a = sample_negatives(table, {0}, 4, np.random.default_rng(42))
-        b = sample_negatives(table, {0}, 4, np.random.default_rng(42))
-        assert a == b
+        a = self._draw(table, {0}, 4, np.random.default_rng(42))
+        b = self._draw(table, {0}, 4, np.random.default_rng(42))
+        assert a.tolist() == b.tolist()
 
-    def test_too_few_available(self):
-        table = self._table()
+    def test_too_few_available(self, monkeypatch):
+        from conftest import make_interactions
+
+        # both users train on item 0 only, the one item the table can draw;
+        # a draw would loop forever, so reaching one fails the test instead
+        monkeypatch.setattr(trainer, "_draw_batch_negatives", lambda *a: pytest.fail("drew"))
+        split = split_leave_one_out(make_interactions([[0, 1, 2], [0, 1, 3]], num_items=4))
+        model = init_model(ModelConfig(num_users=2, num_items=4), np.random.default_rng(0))
         with pytest.raises(CorpusError, match="sampleable"):
-            sample_negatives(table, {0, 1, 2, 3}, 3, np.random.default_rng(0))
+            trainer.train(split, model, LossConfig(max_epochs=1), np.random.default_rng(0))

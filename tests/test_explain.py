@@ -5,11 +5,10 @@ from conftest import make_interactions
 from personacf.explain import (
     ExplanationReport,
     LabeledItem,
-    _attention_weights,
     explain_user,
     render_markdown,
 )
-from personacf.model import ModelConfig, init_model, softmax
+from personacf.model import ModelConfig, attend, init_model, softmax
 from test_model import random_model
 
 
@@ -37,7 +36,7 @@ class TestAttentionWeights:
         rng = np.random.default_rng(0)
         model = random_model(rng)
         items = np.array([1, 4, 7])
-        got = _attention_weights(model, 2, items)
+        got = attend(model, 2, items).attn_weights
         for col, j in enumerate(items):
             logits = [
                 float(model.personas[2][k] @ model.attn_user_map
@@ -50,7 +49,7 @@ class TestAttentionWeights:
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
         model = random_model(rng)
-        w = _attention_weights(model, 0, np.arange(10))
+        w = attend(model, 0, np.arange(10)).attn_weights
         np.testing.assert_allclose(w.sum(axis=0), np.ones(10), atol=1e-12)
 
 

@@ -1,10 +1,12 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from personacf.model import (
+    CheckpointError,
     ModelConfig,
     attend,
     init_model,
@@ -24,6 +26,17 @@ def random_model(rng, num_users=5, num_items=10, d=4, da=4, r=3, scale=0.5):
     m.item_vectors[:] = rng.normal(0, scale, m.item_vectors.shape)
     m.item_bias[:] = rng.normal(0, scale, m.item_bias.shape)
     return m
+
+
+def attend_pair(m, user, item):
+    """attend() on a single item, with the item axis squeezed out."""
+    t = attend(m, user, [item])
+    return SimpleNamespace(
+        attn_logits=t.attn_logits[:, 0],
+        attn_weights=t.attn_weights[:, 0],
+        attentive_user=t.attentive_user[0],
+        score=float(t.scores[0]),
+    )
 
 
 class TestInit:
@@ -51,12 +64,12 @@ class TestAttend:
         m = random_model(np.random.default_rng(0), r=2)
         # duplicate persona rows force identical logits
         m.personas[0, 1] = m.personas[0, 0]
-        trace = attend(m, 0, 0)
+        trace = attend_pair(m, 0, 0)
         np.testing.assert_allclose(trace.attn_weights, [0.5, 0.5], atol=1e-12)
 
     def test_single_persona_degenerates(self):
         m = random_model(np.random.default_rng(1), r=1)
-        trace = attend(m, 2, 3)
+        trace = attend_pair(m, 2, 3)
         np.testing.assert_allclose(trace.attn_weights, [1.0])
         np.testing.assert_allclose(trace.attentive_user, m.personas[2, 0])
         expected = float(m.personas[2, 0] @ m.item_vectors[3] + m.item_bias[3])
@@ -76,7 +89,7 @@ class TestAttend:
         weights = [e / sum(exps) for e in exps]
         x = [sum(weights[k] * m.personas[user][k][i] for k in range(r)) for i in range(d)]
         score = sum(x[i] * m.item_vectors[item][i] for i in range(d)) + m.item_bias[item]
-        trace = attend(m, user, item)
+        trace = attend_pair(m, user, item)
         np.testing.assert_allclose(trace.attn_weights, weights, atol=1e-12)
         assert trace.score == pytest.approx(score, abs=1e-12)
 
@@ -84,7 +97,7 @@ class TestAttend:
         rng = np.random.default_rng(3)
         m = random_model(rng)
         for item in range(10):
-            trace = attend(m, 0, item)
+            trace = attend_pair(m, 0, item)
             assert np.all(trace.attn_weights >= 0)
             assert trace.attn_weights.sum() == pytest.approx(1.0, abs=1e-6)
             recombined = trace.attn_weights @ m.personas[0]
@@ -95,16 +108,16 @@ class TestAttend:
         # realized here by checking the weights against a manually shifted softmax
         rng = np.random.default_rng(4)
         m = random_model(rng)
-        trace = attend(m, 1, 2)
+        trace = attend_pair(m, 1, 2)
         shifted = np.exp(trace.attn_logits + 123.0 - (trace.attn_logits + 123.0).max())
         np.testing.assert_allclose(trace.attn_weights, shifted / shifted.sum(), atol=1e-9)
 
     def test_item_map_scaling_keeps_argmax(self):
         rng = np.random.default_rng(5)
         m = random_model(rng)
-        before = [attend(m, u, j).attn_weights.argmax() for u in range(5) for j in range(10)]
+        before = [attend_pair(m, u, j).attn_weights.argmax() for u in range(5) for j in range(10)]
         m.attn_item_map *= 7.5
-        after = [attend(m, u, j).attn_weights.argmax() for u in range(5) for j in range(10)]
+        after = [attend_pair(m, u, j).attn_weights.argmax() for u in range(5) for j in range(10)]
         assert before == after
 
 
@@ -113,13 +126,13 @@ class TestScoreAllItems:
         m = random_model(np.random.default_rng(6))
         for j in range(10):
             got = score_all_items(m, 2, [j])
-            assert got[0] == pytest.approx(attend(m, 2, j).score, rel=1e-10)
+            assert got[0] == pytest.approx(attend(m, 2, [j]).scores[0], rel=1e-10)
 
     def test_matches_attend_elementwise(self):
         m = random_model(np.random.default_rng(7))
         candidates = np.arange(10)
         batch = score_all_items(m, 3, candidates)
-        single = [attend(m, 3, int(j)).score for j in candidates]
+        single = [attend(m, 3, [j]).scores[0] for j in candidates]
         np.testing.assert_allclose(batch, single, rtol=1e-6)
 
     def test_permutation_equivariance(self):
@@ -152,3 +165,25 @@ class TestCheckpoint:
             assert block.tobytes() == loaded.parameter_blocks()[k].tobytes()
         assert meta["user_ids"] == ["a", "b"]
         assert meta["extra"] == {"note": 1}
+
+    @pytest.mark.parametrize("name,bad", [
+        ("item_vectors", lambda b: b[:-1]),
+        ("personas", lambda b: b[:, :1]),
+        ("attn_user_map", lambda b: b.T[:-1]),
+        ("item_bias", lambda b: b.astype(np.int64)),
+        ("attn_item_map", None),
+        ("meta", None),
+    ])
+    def test_block_must_match_config(self, tmp_path, name, bad):
+        m = random_model(np.random.default_rng(10))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, m)
+        with np.load(path) as data:
+            blocks = dict(data)
+        if bad is None:
+            del blocks[name]
+        else:
+            blocks[name] = bad(blocks[name])
+        np.savez(path, **blocks)
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)

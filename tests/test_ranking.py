@@ -6,6 +6,7 @@ from personacf.ranking import (
     RankingProtocol,
     evaluate,
     top_k_recommendations,
+    unconsumed,
 )
 
 
@@ -148,3 +149,22 @@ class TestTopK:
         data = make_interactions([[3, 5, 7]], num_items=8)
         top, _ = top_k_recommendations(lambda u, c: np.zeros(len(c)), 0, data, 8)
         assert set(top) == {0, 1, 2, 4, 6}
+
+
+class TestUnconsumed:
+    def test_matches_setdiff_reference(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            consumed = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+            for items in (consumed.tolist(), set(consumed.tolist()), consumed):
+                got = unconsumed(n, items)
+                expect = np.setdiff1d(np.arange(n), np.fromiter(items, dtype=np.intp))
+                assert got.dtype == expect.dtype
+                np.testing.assert_array_equal(got, expect)
+
+    def test_empty_and_full_consumed_sets(self):
+        for n in (1, 7):
+            np.testing.assert_array_equal(unconsumed(n, []), np.arange(n))
+            assert unconsumed(n, range(n)).size == 0
+            assert unconsumed(n, []).dtype == np.setdiff1d(np.arange(n), []).dtype

@@ -204,9 +204,9 @@ class TestEntropyDynamics:
         pos, negs = 1, [2, 3]
         maxima = []
         for _ in range(100):
-            maxima.append(attend(m, 0, pos).attn_weights.max())
+            maxima.append(attend(m, 0, [pos]).attn_weights.max())
             self._sgd_step(m, gradients(m, 0, pos, negs, cfg), lr=0.1)
-        maxima.append(attend(m, 0, pos).attn_weights.max())
+        maxima.append(attend(m, 0, [pos]).attn_weights.max())
         assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] > maxima[0]
 
@@ -219,7 +219,7 @@ class TestEntropyDynamics:
         for _ in range(500):
             self._sgd_step(m, gradients(m, 0, pos, negs, cfg), lr=0.05)
         for n in negs:
-            assert attend(m, 0, n).attn_weights.max() == pytest.approx(0.5, abs=0.05)
+            assert attend(m, 0, [n]).attn_weights.max() == pytest.approx(0.5, abs=0.05)
 
 
 class TestTrain:
