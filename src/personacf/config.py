@@ -1,7 +1,8 @@
 """Run configuration: one YAML file per run, unknown keys rejected.
 
 The loss and eval sections are the trainer's and the ranker's own
-dataclasses, so their values are validated while the file is parsed.
+dataclasses, and the model, taste and aisp sections check their sizes,
+so every value is validated while the file is parsed.
 
 Defaults follow the evaluated setup: 64-dim embeddings and attention
 space, 4 negatives per positive, Adam at 0.001 with batches of 256,
@@ -37,6 +38,12 @@ def _from_dict(cls, raw: dict, context: str):
         raise ConfigError(f"{context}: {exc}") from None
 
 
+def _require_positive(section, names: tuple[str, ...]) -> None:
+    small = [name for name in names if getattr(section, name) < 1]
+    if small:
+        raise ValueError(f"{', '.join(small)} must be >= 1")
+
+
 @dataclass
 class DatasetConfig:
     path: str = ""
@@ -52,6 +59,9 @@ class ModelSection:
     attention_dim: int = 64
     personas: int = 2
 
+    def __post_init__(self):
+        _require_positive(self, ("embedding_dim", "attention_dim", "personas"))
+
 
 @dataclass
 class TasteSection:
@@ -60,10 +70,16 @@ class TasteSection:
     list_size: int = 30
     center: bool = True
 
+    def __post_init__(self):
+        _require_positive(self, ("pca_dims", "clusters", "list_size"))
+
 
 @dataclass
 class AispSection:
     personas: int = 2
+
+    def __post_init__(self):
+        _require_positive(self, ("personas",))
 
 
 @dataclass

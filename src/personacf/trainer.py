@@ -89,18 +89,41 @@ def _entropy_terms(weights: np.ndarray) -> np.ndarray:
     return -weights * np.log(np.maximum(weights, ENTROPY_CLAMP))
 
 
+def _row_gradients(model: PersonaModel) -> dict[str, np.ndarray]:
+    """Zeroed gradient buffers for the row-indexed parameter blocks."""
+    return {
+        "personas": np.zeros_like(model.personas),
+        "item_vectors": np.zeros_like(model.item_vectors),
+        "item_bias": np.zeros_like(model.item_bias),
+    }
+
+
+def _zero_touched_rows(
+    row_grads: dict[str, np.ndarray], users: np.ndarray, items: np.ndarray
+) -> None:
+    """Re-zero the rows a batch scattered into, readying the buffers for
+    the next batch without refilling them whole."""
+    touched = items.ravel()
+    row_grads["personas"][users] = 0.0
+    row_grads["item_vectors"][touched] = 0.0
+    row_grads["item_bias"][touched] = 0.0
+
+
 def _forward_backward(
     model: PersonaModel,
     users: np.ndarray,
     items: np.ndarray,
     cfg: LossConfig,
     scale: float,
+    row_grads: dict[str, np.ndarray],
 ):
     """Loss and gradients for a batch.
 
     users: (B,) user indices; items: (B, C) candidate items, column 0 the
     positive. Returns (mean LossBreakdown, dense gradient dict scaled by
-    ``scale``, attention weights (B, r, C)).
+    ``scale``, attention weights (B, r, C)). The personas, item_vectors
+    and item_bias gradients are scattered into ``row_grads``
+    (see ``_row_gradients``), which must be all zero on entry.
     """
     B, C = items.shape
     a, lp, ln_ = cfg.alpha, cfg.lambda_pos, cfg.lambda_neg
@@ -152,16 +175,10 @@ def _forward_backward(
     gAu = scale * np.einsum("bkd,bke->de", Ub, gpsi)
     gAv = scale * np.einsum("bce,bcd->ed", gphi, Vb)
 
-    grads = {
-        "personas": np.zeros_like(model.personas),
-        "item_vectors": np.zeros_like(model.item_vectors),
-        "attn_user_map": gAu,
-        "attn_item_map": gAv,
-        "item_bias": np.zeros_like(model.item_bias),
-    }
-    np.add.at(grads["personas"], users, scale * gU)
-    np.add.at(grads["item_vectors"], items.ravel(), scale * gV.reshape(B * C, -1))
-    np.add.at(grads["item_bias"], items.ravel(), scale * gy.ravel())
+    np.add.at(row_grads["personas"], users, scale * gU)
+    np.add.at(row_grads["item_vectors"], items.ravel(), scale * gV.reshape(B * C, -1))
+    np.add.at(row_grads["item_bias"], items.ravel(), scale * gy.ravel())
+    grads = {**row_grads, "attn_user_map": gAu, "attn_item_map": gAv}
     return breakdown, grads, W
 
 
@@ -176,7 +193,9 @@ def loss_for_example(
         raise ValueError("positive item must not appear among the negatives")
     users = np.array([user])
     items = np.array([[pos, *negs]])
-    breakdown, _, _ = _forward_backward(model, users, items, cfg, scale=1.0)
+    breakdown, _, _ = _forward_backward(
+        model, users, items, cfg, scale=1.0, row_grads=_row_gradients(model)
+    )
     return breakdown
 
 
@@ -193,7 +212,9 @@ def gradients(
         raise ValueError("positive item must not appear among the negatives")
     users = np.array([user])
     items = np.array([[pos, *negs]])
-    _, grads, _ = _forward_backward(model, users, items, cfg, scale=1.0)
+    _, grads, _ = _forward_backward(
+        model, users, items, cfg, scale=1.0, row_grads=_row_gradients(model)
+    )
     touched = sorted(set(items.ravel().tolist()))
     return GradientSet(
         persona=grads["personas"][user],
@@ -205,24 +226,43 @@ def gradients(
 
 
 class Adam:
-    """Dense Adam over named parameter blocks."""
+    """Dense Adam over named parameter blocks: every row is updated every
+    step, in place, through preallocated moment and scratch buffers.
+
+    The update is, in this operation order (it fixes the checkpoint
+    bytes, so c1 and c2 stay divisors, not reciprocal factors),
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+    param -= lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
+    """
 
     def __init__(self, blocks: dict[str, np.ndarray], cfg: LossConfig):
         self.lr = cfg.learning_rate
         self.b1, self.b2, self.eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
         self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in blocks.items()}
         self.t = 0
 
     def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
+        c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
         for k, param in blocks.items():
-            g = grads[k]
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g**2
-            m_hat = self.m[k] / (1 - self.b1**self.t)
-            v_hat = self.v[k] / (1 - self.b2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            a, b = self._scratch[k]
+            np.multiply(m, self.b1, out=m)
+            np.multiply(g, 1 - self.b1, out=a)
+            np.add(m, a, out=m)
+            np.square(g, out=a)
+            np.multiply(a, 1 - self.b2, out=a)
+            np.multiply(v, self.b2, out=v)
+            np.add(v, a, out=v)
+            np.divide(m, c1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(param, a, out=param)
 
 
 def _check_negatives_drawable(train: Interactions, probabilities: np.ndarray) -> None:
@@ -288,6 +328,7 @@ def train(
     # signal comparable across epochs
     val_seed = int(rng.integers(2**63))
     opt = Adam(model.parameter_blocks(), cfg)
+    row_grads = _row_gradients(model)  # reused: re-zeroed on touched rows after each step
     history: list[EpochRecord] = []
     best = model.copy()
     best_hr, best_ndcg = -1.0, -1.0
@@ -306,13 +347,14 @@ def train(
             items = np.concatenate([pos[:, None], negs], axis=1)
             try:
                 breakdown, grads, _ = _forward_backward(
-                    model, users, items, cfg, scale=1.0 / len(batch)
+                    model, users, items, cfg, scale=1.0 / len(batch), row_grads=row_grads
                 )
             except TrainingDiverged:
                 raise TrainingDiverged(
                     f"non-finite loss in epoch {epoch}, batch {n_batches}"
                 ) from None
             opt.step(model.parameter_blocks(), grads)
+            _zero_touched_rows(row_grads, users, items)
             sums += (
                 breakdown.data_loss,
                 breakdown.pos_entropy,

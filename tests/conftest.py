@@ -1,6 +1,11 @@
 import os
 
-import numpy as np
+# One BLAS thread, set before numpy loads: timing tests then measure the
+# code, not how many cores the machine has or what ran before them.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 from personacf.corpus import Interactions, split_leave_one_out

@@ -163,6 +163,23 @@ class TestPipeline:
         assert "# hr@3" in report
         assert "# ndcg@3" in report
 
+    @pytest.mark.parametrize("command,section,key", [
+        ("train", "model", "personas"),
+        ("tdd", "taste", "list_size"),
+        ("aisp", "aisp", "personas"),
+    ])
+    def test_zero_size_is_a_config_error(self, trained, capsys, command, section, key):
+        cfg, out = trained
+        raw = yaml.safe_load(cfg.read_text())
+        raw.setdefault(section, {})[key] = 0
+        cfg.write_text(yaml.safe_dump(raw))
+        argv = [command, "-c", str(cfg)]
+        if command == "tdd":
+            argv += ["--checkpoint", str(out / "checkpoint.npz")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: {key} must be >= 1")
+
     def test_tdd_and_taste_space_cache(self, trained):
         cfg, out = trained
         ckpt = str(out / "checkpoint.npz")

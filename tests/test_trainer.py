@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_cluster_corpus
+from personacf import trainer
 from personacf.corpus import split_leave_one_out
 from personacf.model import ModelConfig, init_model, model_scorer
 from personacf.ranking import RankingProtocol, evaluate
 from personacf.trainer import (
     Adam,
     LossConfig,
+    _forward_backward,
+    _row_gradients,
+    _zero_touched_rows,
     gradients,
     loss_for_example,
     train,
@@ -184,6 +190,117 @@ class TestAdam:
         before = blocks["item_bias"].copy()
         opt.step(blocks, grads)
         assert np.all(blocks["item_bias"] < before)
+
+
+def reference_adam(blocks, grad_steps, cfg):
+    """The out-of-place dense Adam update, one straight-line statement per
+    formula; returns the first and second moments."""
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    m = {k: np.zeros_like(v) for k, v in blocks.items()}
+    v = {k: np.zeros_like(p) for k, p in blocks.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for k, param in blocks.items():
+            g = grads[k]
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g**2
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return m, v
+
+
+block_shapes = st.lists(
+    st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple), min_size=1, max_size=4
+)
+
+
+class TestAdamMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=block_shapes,
+        steps=st.integers(50, 80),
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.sampled_from([0.001, 0.01, 0.1]),
+        row_density=st.floats(0.0, 1.0),
+    )
+    def test_in_place_step_is_byte_identical(self, shapes, steps, seed, lr, row_density):
+        rng = np.random.default_rng(seed)
+        cfg = LossConfig(learning_rate=lr)
+        start = {f"b{i}": rng.normal(0, 1, shape) for i, shape in enumerate(shapes)}
+        grad_steps = []
+        for _ in range(steps):
+            grads = {}
+            for k, block in start.items():
+                # row-sparse, as a batch touches some rows; untouched rows are all zero
+                touched = rng.random(block.shape[0]) < row_density
+                g = np.zeros_like(block)
+                g[touched] = rng.normal(0, 1, g[touched].shape)
+                grads[k] = g
+            grad_steps.append(grads)
+
+        got = {k: v.copy() for k, v in start.items()}
+        opt = Adam(got, cfg)
+        for grads in grad_steps:
+            opt.step(got, grads)
+        want = {k: v.copy() for k, v in start.items()}
+        want_m, want_v = reference_adam(want, grad_steps, cfg)
+        for k in start:
+            assert got[k].tobytes() == want[k].tobytes()
+            assert opt.m[k].tobytes() == want_m[k].tobytes()
+            assert opt.v[k].tobytes() == want_v[k].tobytes()
+
+
+class TestGradientBuffers:
+    ROW_BLOCKS = ("personas", "item_vectors", "item_bias")
+
+    def test_reused_buffers_match_fresh_ones(self):
+        m = random_model(np.random.default_rng(12), num_users=5, num_items=10)
+        cfg = LossConfig()
+        opt = Adam(m.parameter_blocks(), LossConfig(learning_rate=0.1))
+        row_grads = _row_gradients(m)
+        # items repeat within each batch (across rows) and across batches
+        batches = [
+            (np.array([0, 1, 0]), np.array([[1, 2, 3], [2, 4, 1], [3, 1, 5]])),
+            (np.array([1, 4]), np.array([[3, 1, 6], [7, 3, 2]])),
+        ]
+        for users, items in batches:
+            scale = 1.0 / len(users)
+            _, want, _ = _forward_backward(m, users, items, cfg, scale, _row_gradients(m))
+            _, got, _ = _forward_backward(m, users, items, cfg, scale, row_grads=row_grads)
+            assert list(got) == list(want)
+            for k in want:
+                assert got[k].tobytes() == want[k].tobytes()
+            for k in self.ROW_BLOCKS:
+                assert got[k] is row_grads[k]
+                assert np.any(row_grads[k] != 0)
+            opt.step(m.parameter_blocks(), got)
+            _zero_touched_rows(row_grads, users, items)
+            for k in self.ROW_BLOCKS:
+                assert not np.any(row_grads[k])
+
+    def test_training_matches_fresh_buffers(self, monkeypatch):
+        data = two_cluster_corpus(seed=4, users_per_side=5, items_per_side=20, history=6)
+        split = split_leave_one_out(data)
+
+        def run():
+            cfg = ModelConfig(num_users=data.num_users, num_items=data.num_items,
+                              embedding_dim=8, attention_dim=8, personas=2)
+            model = init_model(cfg, np.random.default_rng(3))
+            return train(split, model, LossConfig(batch_size=8, patience=2, max_epochs=2),
+                         np.random.default_rng(3),
+                         RankingProtocol(num_sampled_negatives=20, cutoff=10))
+
+        best_reused, hist_reused = run()
+        reused_forward_backward = trainer._forward_backward
+
+        def fresh_buffers(model, users, items, cfg, scale, row_grads):
+            return reused_forward_backward(model, users, items, cfg, scale, _row_gradients(model))
+
+        monkeypatch.setattr(trainer, "_forward_backward", fresh_buffers)
+        best_fresh, hist_fresh = run()
+        assert hist_reused == hist_fresh
+        for k, block in best_reused.parameter_blocks().items():
+            assert block.tobytes() == best_fresh.parameter_blocks()[k].tobytes()
 
 
 class TestEntropyDynamics:
