@@ -33,7 +33,7 @@ def build_aisp(
         raise ValueError("persona count must be >= 1")
     user_personas = []
     for items in train.per_user_items:
-        points = space.item_vectors[np.asarray(items, dtype=np.intp)]
+        points = space.item_vectors[items]
         centroids, _, _ = kmeans(points, p, rng)
         user_personas.append(centroids)
     return AispModel(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -25,13 +26,32 @@ class ConfigError(ValueError):
     pass
 
 
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _check_types(cls, raw: dict, context: str) -> None:
+    """Reject a value that does not fit its field's declared int, float or
+    bool type (optionally ``| None``); other field types go unchecked. A
+    float field accepts an int, and only a bool field accepts a bool."""
+    hints = get_type_hints(cls)
+    for name, value in raw.items():
+        hint, optional = hints[name], type(None) in get_args(hints[name])
+        if optional:  # ``X | None``
+            hint = next(h for h in get_args(hint) if h is not type(None))
+        if hint not in _ACCEPTS or (optional and value is None):
+            continue
+        if not isinstance(value, _ACCEPTS[hint]) or isinstance(value, bool) != (hint is bool):
+            kind = f"{type(value).__name__} {value!r}"
+            raise ConfigError(f"{context}: {name} must be {hint.__name__}, got {kind}")
+
+
 def _from_dict(cls, raw: dict, context: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: expected a mapping, got {type(raw).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    _check_types(cls, raw, context)
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -112,18 +132,8 @@ _SECTIONS = {
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    top_known = set(_SECTIONS) | {"seed", "output_dir", "deterministic"}
-    unknown = set(raw) - top_known
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        if name in raw:
-            kwargs[name] = _from_dict(cls, raw[name], name)
-    for scalar in ("seed", "output_dir", "deterministic"):
-        if scalar in raw:
-            kwargs[scalar] = raw[scalar]
-    return RunConfig(**kwargs)
+    raw = {k: _from_dict(_SECTIONS[k], v, k) if k in _SECTIONS else v for k, v in raw.items()}
+    return _from_dict(RunConfig, raw, "config")
 
 
 def load_config(path) -> RunConfig:

@@ -8,6 +8,8 @@ and builds the count^0.5 unigram table used to draw negative items.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -46,19 +48,44 @@ class RatingFormat:
 
 @dataclass
 class Interactions:
-    """De-duplicated positive events with contiguous user/item indices."""
+    """De-duplicated positive events with contiguous user/item indices,
+    stored as CSR: user u's items, in history order, are
+    ``indices[indptr[u]:indptr[u + 1]]``."""
 
-    num_users: int
     num_items: int
-    events: list[tuple[int, int]]
-    per_user_items: list[list[int]]
-    user_index: dict[str, int] = field(default_factory=dict)
-    item_index: dict[str, int] = field(default_factory=dict)
+    indptr: np.ndarray  # (num_users + 1,) intp row offsets
+    indices: np.ndarray  # (num_events,) intp item indices
     user_ids: list[str] = field(default_factory=list)
     item_ids: list[str] = field(default_factory=list)
 
-    def item_sets(self) -> list[set[int]]:
-        return [set(items) for items in self.per_user_items]
+    @classmethod
+    def from_rows(cls, rows, num_items: int, user_ids=None, item_ids=None) -> Interactions:
+        """CSR interactions from per-user item index sequences."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
+        return cls(num_items, indptr, indices, list(user_ids or []), list(item_ids or []))
+
+    @property
+    def num_users(self) -> int:
+        return len(self.indptr) - 1
+
+    @cached_property
+    def user_index(self) -> dict[str, int]:
+        return {name: u for u, name in enumerate(self.user_ids)}
+
+    @cached_property
+    def item_index(self) -> dict[str, int]:
+        return {name: j for j, name in enumerate(self.item_ids)}
+
+    @cached_property
+    def per_user_items(self) -> list[np.ndarray]:
+        """One view of ``indices`` per user."""
+        return np.split(self.indices, self.indptr[1:-1]) if self.num_users else []
+
+    def event_users(self) -> np.ndarray:
+        """(num_events,) user index of each entry of ``indices``."""
+        return np.repeat(np.arange(self.num_users, dtype=np.intp), np.diff(self.indptr))
 
 
 @dataclass
@@ -68,6 +95,7 @@ class Split:
     train: Interactions
     validation: dict[int, int]
     test: dict[int, int]
+    full: Interactions  # the corpus the split was taken from
 
 
 @dataclass
@@ -77,7 +105,8 @@ class SamplingTable:
     probabilities: np.ndarray
     cumulative: np.ndarray
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Items for ``rng.random(size)``; ``size=None`` draws one."""
         return np.searchsorted(self.cumulative, rng.random(size), side="right")
 
 
@@ -120,80 +149,52 @@ def load_ratings(
                 continue
             raw.setdefault(user, []).append((item, ts))
 
-    # stable sort by timestamp keeps file order among ties
+    # stable sort by timestamp keeps file order among ties; dict.fromkeys
+    # keeps each item's first occurrence, in order
+    kept: dict[str, list[str]] = {}
     for user, events in raw.items():
         if fmt.has_timestamp:
             events.sort(key=lambda e: e[1])
-        seen: set[str] = set()
-        deduped = []
-        for item, ts in events:
-            if item not in seen:
-                seen.add(item)
-                deduped.append(item)
-        raw[user] = deduped
-
-    kept = {u: items for u, items in raw.items() if len(items) >= 2}
+        items = list(dict.fromkeys(item for item, _ in events))
+        if len(items) >= 2:
+            kept[user] = items
     if not kept:
         raise CorpusError(f"{path}: no users with >= 2 items after filtering")
 
-    user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    per_user_items: list[list[int]] = []
-    for user, items in kept.items():  # dict preserves first-appearance order
-        user_index[user] = len(user_index)
-        row = []
-        for item in items:
-            if item not in item_index:
-                item_index[item] = len(item_index)
-            row.append(item_index[item])
-        per_user_items.append(row)
-
-    events = [(u, j) for u, row in enumerate(per_user_items) for j in row]
-    return Interactions(
-        num_users=len(user_index),
-        num_items=len(item_index),
-        events=events,
-        per_user_items=per_user_items,
-        user_index=user_index,
-        item_index=item_index,
-        user_ids=list(user_index),
-        item_ids=list(item_index),
+    rows = [
+        [item_index.setdefault(item, len(item_index)) for item in items]
+        for items in kept.values()  # dict preserves first-appearance order
+    ]
+    return Interactions.from_rows(
+        rows, len(item_index), user_ids=list(kept), item_ids=list(item_index)
     )
 
 
 def split_leave_one_out(data: Interactions) -> Split:
     """Hold out each user's last item for test and second-to-last for
     validation (users with exactly two items get a test item only)."""
-    validation: dict[int, int] = {}
-    test: dict[int, int] = {}
-    train_rows: list[list[int]] = []
-    for user, items in enumerate(data.per_user_items):
-        if len(items) < 2:
-            raise CorpusError(f"user index {user} has fewer than 2 items")
-        test[user] = items[-1]
-        if len(items) >= 3:
-            validation[user] = items[-2]
-            train_rows.append(items[:-2])
-        else:
-            train_rows.append(items[:-1])
-    train = Interactions(
-        num_users=data.num_users,
-        num_items=data.num_items,
-        events=[(u, j) for u, row in enumerate(train_rows) for j in row],
-        per_user_items=train_rows,
-        user_index=data.user_index,
-        item_index=data.item_index,
-        user_ids=data.user_ids,
-        item_ids=data.item_ids,
+    lengths = np.diff(data.indptr)
+    if (lengths < 2).any():
+        raise CorpusError(f"user index {np.argmax(lengths < 2)} has fewer than 2 items")
+    test_pos = data.indptr[1:] - 1
+    has_val = lengths >= 3
+    val_pos = test_pos[has_val] - 1
+    keep = np.ones(len(data.indices), dtype=bool)
+    keep[test_pos] = keep[val_pos] = False
+    indptr = data.indptr - np.concatenate([[0], np.cumsum(1 + has_val)])
+    train = Interactions(data.num_items, indptr, data.indices[keep], data.user_ids, data.item_ids)
+    return Split(
+        train=train,
+        validation=dict(zip(np.flatnonzero(has_val).tolist(), data.indices[val_pos].tolist())),
+        test=dict(enumerate(data.indices[test_pos].tolist())),
+        full=data,
     )
-    return Split(train=train, validation=validation, test=test)
 
 
 def build_sampling_table(train: Interactions, power: float = 0.5) -> SamplingTable:
     """Unigram item distribution over training events raised to ``power``."""
-    counts = np.zeros(train.num_items)
-    for _, item in train.events:
-        counts[item] += 1
+    counts = np.bincount(train.indices, minlength=train.num_items).astype(float)
     weights = counts**power
     total = weights.sum()
     if total <= 0:

@@ -64,19 +64,15 @@ def evaluate(
     data: Interactions,
     protocol: RankingProtocol = RankingProtocol(),
     rng: np.random.Generator | None = None,
-    interacted: list[set[int]] | None = None,
 ) -> RankingReport:
     """Rank each user's target among candidates and aggregate HR/NDCG.
 
-    ``interacted`` gives the per-user positive sets used to exclude
-    candidates; defaults to the item sets of ``data``. In sampled mode
+    Candidates exclude the user's items in ``data``. In sampled mode
     negatives are drawn uniformly without replacement from the
     non-interacted items.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if interacted is None:
-        interacted = data.item_sets()
     k = protocol.cutoff
     per_user: list[tuple[int, int]] = []
     skipped: list[int] = []
@@ -84,17 +80,14 @@ def evaluate(
     gains = 0.0
     for user in sorted(targets):
         target = targets[user]
-        pool = unconsumed(data.num_items, [target, *interacted[user]])
+        pool = unconsumed(data.num_items, np.append(data.per_user_items[user], target))
+        negatives = pool
         if protocol.candidate_mode == "sampled":
-            if len(pool) < protocol.num_sampled_negatives:
-                if len(pool) == 0:
-                    skipped.append(user)
-                    continue
-                negatives = pool
-            else:
+            if len(pool) >= protocol.num_sampled_negatives:
                 negatives = rng.choice(pool, size=protocol.num_sampled_negatives, replace=False)
-        else:
-            negatives = pool
+            elif len(pool) == 0:
+                skipped.append(user)
+                continue
         candidates = np.concatenate([[target], negatives])
         scores = np.asarray(scorer(user, candidates), dtype=float)
         rank = _rank_of_target(scores, candidates, 0)

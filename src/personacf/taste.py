@@ -59,8 +59,7 @@ def build_taste_space(
     if rng is None:
         rng = np.random.default_rng(0)
     R = np.zeros((train.num_users, train.num_items))
-    for u, j in train.events:
-        R[u, j] = 1.0
+    R[train.event_users(), train.indices] = 1.0
     X = R.T  # items as rows, user coordinates as features
     mean = X.mean(axis=0) if center else np.zeros(train.num_users)
     Xc = X - mean
@@ -148,7 +147,7 @@ def tdd_report(
     skipped: list[int] = []
     for user in range(split.train.num_users):
         history = split.train.per_user_items[user]
-        if not history:
+        if len(history) == 0:
             skipped.append(user)
             continue
         recs, _ = top_k_recommendations(scorer, user, split.train, list_size)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CorpusError, Interactions, Split, build_sampling_table
+from .corpus import CorpusError, Interactions, SamplingTable, Split, build_sampling_table
 from .model import PersonaModel, model_scorer, softmax
 from .ranking import RankingProtocol, evaluate
 
@@ -269,18 +269,19 @@ def _check_negatives_drawable(train: Interactions, probabilities: np.ndarray) ->
     """Refuse a corpus where some user's training items cover every item
     the table can draw: redrawing their negatives would never stop."""
     drawable = np.count_nonzero(probabilities)
-    for user, items in enumerate(train.per_user_items):
-        if np.count_nonzero(probabilities[np.asarray(items, dtype=np.intp)]) == drawable:
-            name = train.user_ids[user] if train.user_ids else user
-            raise CorpusError(
-                f"user {name!r}: training items cover every sampleable item, "
-                "so no negative can be drawn"
-            )
+    covered = np.bincount(train.event_users(), probabilities[train.indices] > 0, train.num_users)
+    if (covered == drawable).any():
+        user = int(np.argmax(covered == drawable))
+        name = train.user_ids[user] if train.user_ids else user
+        raise CorpusError(
+            f"user {name!r}: training items cover every sampleable item, "
+            "so no negative can be drawn"
+        )
 
 
 def _draw_batch_negatives(
     users: np.ndarray,
-    cumulative: np.ndarray,
+    table: SamplingTable,
     train_sets: list[set[int]],
     n_neg: int,
     rng: np.random.Generator,
@@ -288,12 +289,12 @@ def _draw_batch_negatives(
     """(B, n_neg) negatives, resampling draws that hit the user's training
     items. Exclusion covers training positives only, not held-out items."""
     B = len(users)
-    negs = np.searchsorted(cumulative, rng.random((B, n_neg)), side="right")
+    negs = table.draw(rng, (B, n_neg))
     for b in range(B):
         forbidden = train_sets[users[b]]
         for s in range(n_neg):
             while int(negs[b, s]) in forbidden:
-                negs[b, s] = np.searchsorted(cumulative, rng.random(), side="right")
+                negs[b, s] = table.draw(rng, None)
     return negs
 
 
@@ -303,7 +304,6 @@ def train(
     cfg: LossConfig,
     rng: np.random.Generator,
     protocol: RankingProtocol | None = None,
-    all_interacted: list[set[int]] | None = None,
     log=None,
 ) -> tuple[PersonaModel, list[EpochRecord]]:
     """Optimize ``model`` in place; returns the best-validation-epoch copy
@@ -312,17 +312,14 @@ def train(
     Negatives are redrawn every epoch. After each epoch HR@10/NDCG@10 are
     computed on the validation items; training stops once neither has
     improved for ``cfg.patience`` epochs (patience 0 -> exactly one epoch).
+    Validation candidates exclude everything the user consumed in
+    ``split.full``.
     """
     protocol = protocol or RankingProtocol()
     table = build_sampling_table(split.train)
     _check_negatives_drawable(split.train, table.probabilities)
-    train_sets = split.train.item_sets()
-    events = np.array(split.train.events, dtype=np.intp)
-    if all_interacted is None:
-        all_interacted = [set(s) for s in train_sets]
-        for held in (split.validation, split.test):
-            for u, j in held.items():
-                all_interacted[u].add(j)
+    train_sets = [set(row.tolist()) for row in split.train.per_user_items]
+    events = np.column_stack([split.train.event_users(), split.train.indices])
 
     # one fixed candidate set per validation user keeps the early-stopping
     # signal comparable across epochs
@@ -342,7 +339,7 @@ def train(
             batch = events[order[start : start + cfg.batch_size]]
             users, pos = batch[:, 0], batch[:, 1]
             negs = _draw_batch_negatives(
-                users, table.cumulative, train_sets, cfg.negatives_per_positive, rng
+                users, table, train_sets, cfg.negatives_per_positive, rng
             )
             items = np.concatenate([pos[:, None], negs], axis=1)
             try:
@@ -366,10 +363,9 @@ def train(
         report = evaluate(
             model_scorer(model),
             split.validation,
-            split.train,
+            split.full,
             protocol,
             np.random.default_rng(val_seed),
-            interacted=all_interacted,
         )
         record = EpochRecord(
             epoch=epoch,

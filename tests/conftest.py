@@ -15,14 +15,9 @@ def make_interactions(per_user_items, num_items=None):
     """Build Interactions directly from per-user item index lists."""
     if num_items is None:
         num_items = 1 + max(j for row in per_user_items for j in row)
-    events = [(u, j) for u, row in enumerate(per_user_items) for j in row]
-    return Interactions(
-        num_users=len(per_user_items),
-        num_items=num_items,
-        events=events,
-        per_user_items=[list(row) for row in per_user_items],
-        user_index={str(u): u for u in range(len(per_user_items))},
-        item_index={str(j): j for j in range(num_items)},
+    return Interactions.from_rows(
+        per_user_items,
+        num_items,
         user_ids=[str(u) for u in range(len(per_user_items))],
         item_ids=[str(j) for j in range(num_items)],
     )

@@ -137,7 +137,8 @@ def test_criterion_03_ranking_brute_force():
             lambda u, c: table[u][c], targets, data,
             RankingProtocol(cutoff=k, candidate_mode="all-items"),
         )
-        hr, ndcg = brute_force_metrics(table, targets, data.item_sets(), num_items, k)
+        interacted = [set(row.tolist()) for row in data.per_user_items]
+        hr, ndcg = brute_force_metrics(table, targets, interacted, num_items, k)
         assert report.hr_at_k == hr
         assert report.ndcg_at_k == pytest.approx(ndcg, abs=1e-12)
     print("criterion 3 PASS: HR/NDCG match brute force on 50 instances")
@@ -212,7 +213,7 @@ def test_criterion_07_tdd_ordering_movielens():
                     RankingProtocol(num_sampled_negatives=100, cutoff=10))
     trained = tdd_report(model_scorer(best), split, space, list_size=30)
     counts = np.zeros(data.num_items)
-    for _, j in split.train.events:
+    for j in split.train.indices:
         counts[j] += 1
     popularity = tdd_report(lambda u, c: counts[np.asarray(c)], split, space, list_size=30)
     assert trained.mean_hellinger < popularity.mean_hellinger
@@ -241,7 +242,7 @@ def test_criterion_07_tdd_ordering_synthetic():
     space = build_taste_space(split.train, pca_dims=20, k=8, rng=np.random.default_rng(0))
     trained = tdd_report(model_scorer(model), split, space, list_size=10)
     counts = np.zeros(data.num_items)
-    for _, j in split.train.events:
+    for j in split.train.indices:
         counts[j] += 1
     popularity = tdd_report(lambda u, c: counts[np.asarray(c)], split, space, list_size=10)
     assert trained.mean_hellinger < popularity.mean_hellinger

@@ -1,0 +1,73 @@
+"""What the benchmark in ``perfbench/`` reads of the program.
+
+The benchmark reaches the program through module attributes, public
+names and the fields of loaded interactions. A rename would otherwise
+zero a traced layer silently or fail bench operations, not tests.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+
+
+def test_every_traced_layer_exists(perfbench):
+    import layers
+    import spans
+
+    tracer = spans.Tracer()
+    layers.install(tracer)
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
+
+
+def test_imported_names_exist():
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("personacf"):
+                owner = importlib.import_module(node.module)
+                names = [(node.module, alias.name) for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "personacf"
+            ):
+                owner = importlib.import_module("personacf")
+                names = [("personacf", node.attr)]
+            else:
+                continue
+            missing += [f"{path.name}: {m}.{n}" for m, n in names if not hasattr(owner, n)]
+    assert missing == []
+
+
+def test_loaded_interactions_expose_what_the_bench_reads(tmp_path):
+    from personacf import load_ratings, split_leave_one_out
+    from personacf.corpus import RatingFormat
+
+    path = tmp_path / "ratings.csv"
+    rows = [("u1", "a"), ("u1", "b"), ("u1", "c"), ("u2", "b"), ("u2", "d")]
+    path.write_text("userId,movieId,rating,timestamp\n" + "".join(
+        f"{u},{i},5,{t}\n" for t, (u, i) in enumerate(rows)
+    ))
+    fmt = RatingFormat(delimiter=",", columns=("user", "item", "rating", "timestamp"),
+                       header=True)
+    data = load_ratings(path, fmt)
+    split = split_leave_one_out(data)
+    assert (data.num_users, data.num_items) == (2, 4)
+    assert data.user_ids == ["u1", "u2"] and data.item_ids == ["a", "b", "c", "d"]
+    assert [data.user_index[u] for u in data.user_ids] == [0, 1]
+    assert set(data.per_user_items[1]) == {1, 3}
+    assert np.asarray(split.train.per_user_items[0], dtype=np.intp).tolist() == [0]
+    assert split.train.num_users == 2 and split.test == {0: 2, 1: 3}

@@ -117,6 +117,21 @@ class TestErrors:
         assert main(["train", "-c", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {section}: ")
 
+    @pytest.mark.parametrize("section,key,text", [
+        ("loss", "batch_size", "16.5"),
+        ("model", "personas", "2.5"),
+        ("config", "seed", "abc"),
+        ("loss", "learning_rate", "1e-3"),  # YAML 1.1 reads this as a string
+    ])
+    def test_mistyped_value_is_a_config_error(self, tmp_path, ratings_file, capsys,
+                                               section, key, text):
+        cfg = write_config(tmp_path, ratings_file, tmp_path / "o")
+        raw = yaml.safe_load(cfg.read_text())
+        (raw if section == "config" else raw[section])[key] = "VALUE"
+        cfg.write_text(yaml.safe_dump(raw).replace("VALUE", text))
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: {key} must be ")
+
     def test_no_drawable_negative_exits_instead_of_hanging(self, tmp_path):
         # after the split each user trains on item 1 alone, the only item
         # with sampling mass, so every negative draw would be rejected

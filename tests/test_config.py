@@ -42,6 +42,27 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(["model"])
 
+    @pytest.mark.parametrize("raw", [
+        {"loss": {"learning_rate": 1}},  # a float field accepts an int
+        {"dataset": {"min_rating": None}},
+        {"dataset": {"min_rating": 4}},
+        {"dataset": {"columns": ["user", "item", "rating"]}},
+        {"taste": {"center": False}},
+    ])
+    def test_values_of_the_declared_type_accepted(self, raw):
+        parse_config(raw)
+
+    @pytest.mark.parametrize("raw,message", [
+        ({"eval": {"cutoff": True}}, "eval: cutoff must be int"),
+        ({"loss": {"alpha": False}}, "loss: alpha must be float"),
+        ({"taste": {"center": 1}}, "taste: center must be bool"),
+        ({"dataset": {"min_rating": "4"}}, "dataset: min_rating must be float"),
+        ({"deterministic": "no"}, "config: deterministic must be bool"),
+    ])
+    def test_values_of_another_type_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{message}, got "):
+            parse_config(raw)
+
     def test_scalars(self):
         cfg = parse_config({"seed": 42, "output_dir": "runs/x", "deterministic": False})
         assert cfg.seed == 42

@@ -76,8 +76,8 @@ class TestEvaluate:
             k = int(rng.integers(1, 6))
             report = evaluate(scorer, targets, data,
                               RankingProtocol(cutoff=k, candidate_mode="all-items"))
-            hr, ndcg = brute_force_metrics(score_table, targets, data.item_sets(),
-                                           num_items, k)
+            interacted = [set(row.tolist()) for row in data.per_user_items]
+            hr, ndcg = brute_force_metrics(score_table, targets, interacted, num_items, k)
             assert report.hr_at_k == pytest.approx(hr, abs=1e-12)
             assert report.ndcg_at_k == pytest.approx(ndcg, abs=1e-12)
 

@@ -78,7 +78,7 @@ class TestBuildTasteSpace:
         # with every component kept the projection is an isometry of the
         # centered item columns: pairwise distances must be preserved
         R = np.zeros((data.num_users, data.num_items))
-        for u, j in data.events:
+        for u, j in zip(data.event_users(), data.indices):
             R[u, j] = 1.0
         X = R.T - R.T.mean(axis=0)
         orig = np.linalg.norm(X[:, None] - X[None, :], axis=2)

@@ -353,6 +353,29 @@ class TestTrain:
                            np.random.default_rng(0), self._protocol())
         assert len(history) == 1
 
+    def test_validation_excludes_every_consumed_item(self, tiny_split, monkeypatch):
+        # candidates are the target plus every item the user never consumed,
+        # held-out test items included (the catalogue is under 100 items)
+        seen = {}
+
+        def recording_scorer(model):
+            def scorer(user, candidates):
+                seen[user] = candidates.tolist()
+                return np.zeros(len(candidates))
+
+            return scorer
+
+        monkeypatch.setattr(trainer, "model_scorer", recording_scorer)
+        model = init_model(ModelConfig(num_users=3, num_items=6), np.random.default_rng(0))
+        train(tiny_split, model, LossConfig(patience=0, max_epochs=1),
+              np.random.default_rng(0), self._protocol())
+        assert sorted(seen) == sorted(tiny_split.validation)
+        for user, candidates in seen.items():
+            consumed = {*tiny_split.train.per_user_items[user].tolist(), tiny_split.test[user]}
+            target = tiny_split.validation[user]
+            assert candidates[0] == target
+            assert sorted(candidates[1:]) == sorted(set(range(6)) - consumed - {target})
+
     def test_fixed_seed_reproduces_history(self):
         data = two_cluster_corpus(seed=1, users_per_side=5, items_per_side=20, history=6)
         split = split_leave_one_out(data)
