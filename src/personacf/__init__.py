@@ -31,20 +31,11 @@ from .taste import (
     taste_distribution,
     tdd_report,
 )
-from .trainer import (
-    EpochRecord,
-    GradientSet,
-    LossBreakdown,
-    LossConfig,
-    gradients,
-    loss_for_example,
-    train,
-)
+from .trainer import EpochRecord, LossBreakdown, LossConfig, train
 
 __all__ = [
     "AttentionTrace",
     "EpochRecord",
-    "GradientSet",
     "Interactions",
     "LossBreakdown",
     "LossConfig",
@@ -61,13 +52,11 @@ __all__ = [
     "build_sampling_table",
     "build_taste_space",
     "evaluate",
-    "gradients",
     "hellinger",
     "init_model",
     "js_divergence",
     "load_checkpoint",
     "load_ratings",
-    "loss_for_example",
     "model_scorer",
     "save_checkpoint",
     "score_all_items",

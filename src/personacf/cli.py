@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,27 +89,20 @@ def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
     return space
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def _output_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data, split = _load_split(cfg)
+    return out
+
+
+def cmd_train(cfg: RunConfig, args, data, split, model) -> int:
+    out = _output_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     model = init_model(
-        ModelConfig(
-            num_users=data.num_users,
-            num_items=data.num_items,
-            embedding_dim=cfg.model.embedding_dim,
-            attention_dim=cfg.model.attention_dim,
-            personas=cfg.model.personas,
-            seed=cfg.seed,
-        ),
-        rng,
+        ModelConfig(data.num_users, data.num_items, **asdict(cfg.model), seed=cfg.seed), rng
     )
-    history_path = out / "history.tsv"
-    records = []
 
     def log(rec):
-        records.append(rec)
         print(
             f"epoch {rec.epoch}: loss {rec.total_loss:.4f} "
             f"val hr@10 {rec.val_hr:.4f} ndcg@10 {rec.val_ndcg:.4f}"
@@ -123,7 +117,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             f"{rec.neg_entropy:.8f}\t{rec.total_loss:.8f}\t"
             f"{rec.val_hr:.6f}\t{rec.val_ndcg:.6f}"
         )
-    history_path.write_text("\n".join(lines) + "\n")
+    (out / "history.tsv").write_text("\n".join(lines) + "\n")
     ckpt_path = out / "checkpoint.npz"
     save_checkpoint(
         ckpt_path,
@@ -136,8 +130,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_model_checked(cfg: RunConfig, path, data):
-    model, meta = load_checkpoint(path)
+def _load_model_checked(path, data):
+    model, _ = load_checkpoint(path)
     if (
         model.config.num_users != data.num_users
         or model.config.num_items != data.num_items
@@ -147,33 +141,22 @@ def _load_model_checked(cfg: RunConfig, path, data):
             f"{model.config.num_items} items) does not match the dataset "
             f"({data.num_users} users, {data.num_items} items)"
         )
-    return model, meta
+    return model
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data, split = _load_split(cfg)
-    model, _ = _load_model_checked(cfg, args.checkpoint, data)
+def cmd_eval(cfg: RunConfig, args, data, split, model) -> int:
     report = evaluate(
-        model_scorer(model),
-        split.test,
-        data,
-        cfg.eval,
-        np.random.default_rng(cfg.seed),
+        model_scorer(model), split.test, data, cfg.eval, np.random.default_rng(cfg.seed)
     )
-    path = out / "ranking_report.tsv"
+    path = _output_dir(cfg) / "ranking_report.tsv"
     _write_ranking_report(path, cfg, report)
     print(f"hr@{report.cutoff} {report.hr_at_k:.4f}  ndcg@{report.cutoff} {report.ndcg_at_k:.4f}")
     print(f"report written to {path}")
     return 0
 
 
-def cmd_tdd(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data, split = _load_split(cfg)
-    model, _ = _load_model_checked(cfg, args.checkpoint, data)
+def cmd_tdd(cfg: RunConfig, args, data, split, model) -> int:
+    out = _output_dir(cfg)
     space = _taste_space_for(cfg, split, out, args.taste_space)
     report = taste_mod.tdd_report(
         model_scorer(model), split, space, list_size=cfg.taste.list_size
@@ -185,10 +168,8 @@ def cmd_tdd(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_aisp(cfg: RunConfig, args) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data, split = _load_split(cfg)
+def cmd_aisp(cfg: RunConfig, args, data, split, model) -> int:
+    out = _output_dir(cfg)
     space = _taste_space_for(cfg, split, out, args.taste_space)
     rng = np.random.default_rng(cfg.seed)
     baseline = aisp_mod.build_aisp(split.train, space, cfg.aisp.personas, rng)
@@ -205,12 +186,11 @@ def cmd_aisp(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_explain(cfg: RunConfig, args) -> int:
-    data, split = _load_split(cfg)
-    model, _ = _load_model_checked(cfg, args.checkpoint, data)
+def cmd_explain(cfg: RunConfig, args, data, split, model) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     if args.user not in data.user_index:
         raise ConfigError(f"unknown user id {args.user!r}")
-    user = data.user_index[args.user]
     titles = None
     if args.titles:
         titles = {}
@@ -221,7 +201,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
                     continue
                 ext, _, title = line.partition(args.titles_delimiter)
                 titles[ext] = title
-    report = explain_user(model, user, split.train, args.top)
+    report = explain_user(model, data.user_index[args.user], split.train, args.top)
     text = render_markdown(report, item_ids=data.item_ids, titles=titles)
     if args.output:
         Path(args.output).write_text(text)
@@ -273,7 +253,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.fn(cfg, args)
+        data, split = _load_split(cfg)
+        model = _load_model_checked(args.checkpoint, data) if "checkpoint" in args else None
+        return args.fn(cfg, args, data, split, model)
     except (CheckpointError, ConfigError, CorpusError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

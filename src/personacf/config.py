@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import yaml
@@ -119,20 +119,11 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": ModelSection,
-    "loss": LossConfig,
-    "eval": RankingProtocol,
-    "taste": TasteSection,
-    "aisp": AispSection,
-}
-
-
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    raw = {k: _from_dict(_SECTIONS[k], v, k) if k in _SECTIONS else v for k, v in raw.items()}
+    sections = {k: t for k, t in get_type_hints(RunConfig).items() if is_dataclass(t)}
+    raw = {k: _from_dict(sections[k], v, k) if k in sections else v for k, v in raw.items()}
     return _from_dict(RunConfig, raw, "config")
 
 

@@ -192,10 +192,10 @@ def split_leave_one_out(data: Interactions) -> Split:
     )
 
 
-def build_sampling_table(train: Interactions, power: float = 0.5) -> SamplingTable:
-    """Unigram item distribution over training events raised to ``power``."""
+def build_sampling_table(train: Interactions) -> SamplingTable:
+    """Unigram item distribution over training events raised to the power 0.5."""
     counts = np.bincount(train.indices, minlength=train.num_items).astype(float)
-    weights = counts**power
+    weights = counts**0.5
     total = weights.sum()
     if total <= 0:
         raise CorpusError("empty training set: no events to build sampling table")

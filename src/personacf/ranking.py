@@ -21,8 +21,9 @@ class RankingProtocol:
     candidate_mode: str = "sampled"  # or "all-items"
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        for name in ("num_sampled_negatives", "cutoff"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.candidate_mode not in ("sampled", "all-items"):
             raise ValueError(f"unknown candidate_mode {self.candidate_mode!r}")
 

@@ -21,9 +21,6 @@ from .corpus import Interactions, Split
 from .kmeans import kmeans
 from .ranking import top_k_recommendations
 
-DEFAULT_PCA_DIMS = 100
-DEFAULT_CLUSTERS = 50
-
 
 @dataclass
 class TasteSpace:
@@ -44,11 +41,10 @@ class TddReport:
 
 def build_taste_space(
     train: Interactions,
-    pca_dims: int = DEFAULT_PCA_DIMS,
-    k: int = DEFAULT_CLUSTERS,
-    rng: np.random.Generator | None = None,
+    pca_dims: int,
+    k: int,
+    rng: np.random.Generator,
     center: bool = True,
-    kmeans_restarts: int = 3,
 ) -> TasteSpace:
     """PCA the item columns of the binary interaction matrix down to
     ``pca_dims`` and K-means the projected items into ``k`` clusters.
@@ -56,8 +52,6 @@ def build_taste_space(
     If the matrix rank falls short of ``pca_dims`` the trailing
     components are zero-padded with a warning.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     R = np.zeros((train.num_users, train.num_items))
     R[train.event_users(), train.indices] = 1.0
     X = R.T  # items as rows, user coordinates as features
@@ -76,7 +70,7 @@ def build_taste_space(
             stacklevel=2,
         )
     vectors = Xc @ basis.T  # (num_items, pca_dims)
-    means, _, _ = kmeans(vectors, k, rng, n_init=kmeans_restarts)
+    means, _, _ = kmeans(vectors, k, rng)
     return TasteSpace(
         item_vectors=vectors,
         cluster_means=means,

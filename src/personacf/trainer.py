@@ -47,8 +47,9 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
+        for name in ("negatives_per_positive", "batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.lambda_pos < 0 or self.lambda_neg < 0:
             raise ValueError("entropy weights must be nonnegative")
 
@@ -60,17 +61,6 @@ class LossBreakdown:
     neg_entropy: float
     entropy_loss: float
     total: float
-
-
-@dataclass
-class GradientSet:
-    """Gradients for the parameters touched by one example."""
-
-    persona: np.ndarray  # (r, d), the example's user
-    attn_user_map: np.ndarray  # (d, d_a)
-    attn_item_map: np.ndarray  # (d_a, d)
-    item_vectors: dict[int, np.ndarray]  # touched items only
-    item_bias: dict[int, float]
 
 
 @dataclass
@@ -121,9 +111,9 @@ def _forward_backward(
 
     users: (B,) user indices; items: (B, C) candidate items, column 0 the
     positive. Returns (mean LossBreakdown, dense gradient dict scaled by
-    ``scale``, attention weights (B, r, C)). The personas, item_vectors
-    and item_bias gradients are scattered into ``row_grads``
-    (see ``_row_gradients``), which must be all zero on entry.
+    ``scale``). The personas, item_vectors and item_bias gradients are
+    scattered into ``row_grads`` (see ``_row_gradients``), which must be
+    all zero on entry.
     """
     B, C = items.shape
     a, lp, ln_ = cfg.alpha, cfg.lambda_pos, cfg.lambda_neg
@@ -179,50 +169,7 @@ def _forward_backward(
     np.add.at(row_grads["item_vectors"], items.ravel(), scale * gV.reshape(B * C, -1))
     np.add.at(row_grads["item_bias"], items.ravel(), scale * gy.ravel())
     grads = {**row_grads, "attn_user_map": gAu, "attn_item_map": gAv}
-    return breakdown, grads, W
-
-
-def loss_for_example(
-    model: PersonaModel,
-    user: int,
-    pos: int,
-    negs: list[int],
-    cfg: LossConfig,
-) -> LossBreakdown:
-    if pos in negs:
-        raise ValueError("positive item must not appear among the negatives")
-    users = np.array([user])
-    items = np.array([[pos, *negs]])
-    breakdown, _, _ = _forward_backward(
-        model, users, items, cfg, scale=1.0, row_grads=_row_gradients(model)
-    )
-    return breakdown
-
-
-def gradients(
-    model: PersonaModel,
-    user: int,
-    pos: int,
-    negs: list[int],
-    cfg: LossConfig,
-) -> GradientSet:
-    """Analytic gradients of the total loss for a single example. Only
-    touched parameters get entries."""
-    if pos in negs:
-        raise ValueError("positive item must not appear among the negatives")
-    users = np.array([user])
-    items = np.array([[pos, *negs]])
-    _, grads, _ = _forward_backward(
-        model, users, items, cfg, scale=1.0, row_grads=_row_gradients(model)
-    )
-    touched = sorted(set(items.ravel().tolist()))
-    return GradientSet(
-        persona=grads["personas"][user],
-        attn_user_map=grads["attn_user_map"],
-        attn_item_map=grads["attn_item_map"],
-        item_vectors={j: grads["item_vectors"][j] for j in touched},
-        item_bias={j: float(grads["item_bias"][j]) for j in touched},
-    )
+    return breakdown, grads
 
 
 class Adam:
@@ -343,7 +290,7 @@ def train(
             )
             items = np.concatenate([pos[:, None], negs], axis=1)
             try:
-                breakdown, grads, _ = _forward_backward(
+                breakdown, grads = _forward_backward(
                     model, users, items, cfg, scale=1.0 / len(batch), row_grads=row_grads
                 )
             except TrainingDiverged:

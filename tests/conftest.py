@@ -9,6 +9,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from personacf.corpus import Interactions, split_leave_one_out
+from personacf.trainer import _forward_backward, _row_gradients
 
 
 def make_interactions(per_user_items, num_items=None):
@@ -21,6 +22,24 @@ def make_interactions(per_user_items, num_items=None):
         user_ids=[str(u) for u in range(len(per_user_items))],
         item_ids=[str(j) for j in range(num_items)],
     )
+
+
+def loss_and_grads(model, user, pos, negs, cfg):
+    """(LossBreakdown, dense gradient dict) of one training example
+    ``user``, ``pos`` against ``negs``, through the batched training path."""
+    users, items = np.array([user]), np.array([[pos, *negs]])
+    return _forward_backward(model, users, items, cfg, 1.0, _row_gradients(model))
+
+
+def sgd_step(model, pos, negs, cfg, lr):
+    """One gradient-descent step on user 0's example, on the rows it touches."""
+    _, g = loss_and_grads(model, 0, pos, negs, cfg)
+    model.personas[0] -= lr * g["personas"][0]
+    model.attn_user_map -= lr * g["attn_user_map"]
+    model.attn_item_map -= lr * g["attn_item_map"]
+    for j in (pos, *negs):
+        model.item_vectors[j] -= lr * g["item_vectors"][j]
+        model.item_bias[j] -= lr * g["item_bias"][j]
 
 
 def two_cluster_corpus(seed=0, users_per_side=30, items_per_side=25, history=23):

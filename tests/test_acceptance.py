@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import make_interactions, ml100k_path, two_taste_corpus
+from conftest import loss_and_grads, make_interactions, ml100k_path, sgd_step, two_taste_corpus
 from personacf.aisp import aisp_scorer, build_aisp
 from personacf.cli import main as cli_main
 from personacf.corpus import (
@@ -31,7 +31,7 @@ from personacf.taste import (
     taste_distribution,
     tdd_report,
 )
-from personacf.trainer import LossConfig, gradients, loss_for_example, train
+from personacf.trainer import LossConfig, train
 from test_model import random_model
 from test_ranking import brute_force_metrics
 from test_trainer import scalar_loss_oracle
@@ -66,29 +66,28 @@ def test_criterion_01_gradient_finite_differences():
         user = int(rng.integers(5))
         pos = int(rng.integers(10))
         negs = [int(j) for j in rng.choice([j for j in range(10) if j != pos], 4, replace=False)]
-        g = gradients(m, user, pos, negs, cfg)
+        _, g = loss_and_grads(m, user, pos, negs, cfg)
 
         def fd(block, idx):
             orig = block[idx]
             block[idx] = orig + h
-            up = loss_for_example(m, user, pos, negs, cfg).total
+            up = loss_and_grads(m, user, pos, negs, cfg)[0].total
             block[idx] = orig - h
-            down = loss_for_example(m, user, pos, negs, cfg).total
+            down = loss_and_grads(m, user, pos, negs, cfg)[0].total
             block[idx] = orig
             return (up - down) / (2 * h)
 
         checks = []
-        for idx, val in np.ndenumerate(g.persona):
+        for idx, val in np.ndenumerate(g["personas"][user]):
             checks.append((val, fd(m.personas, (user, *idx))))
-        for idx, val in np.ndenumerate(g.attn_user_map):
+        for idx, val in np.ndenumerate(g["attn_user_map"]):
             checks.append((val, fd(m.attn_user_map, idx)))
-        for idx, val in np.ndenumerate(g.attn_item_map):
+        for idx, val in np.ndenumerate(g["attn_item_map"]):
             checks.append((val, fd(m.attn_item_map, idx)))
-        for j, vec in g.item_vectors.items():
-            for i, val in enumerate(vec):
+        for j in (pos, *negs):
+            for i, val in enumerate(g["item_vectors"][j]):
                 checks.append((val, fd(m.item_vectors, (j, i))))
-        for j, val in g.item_bias.items():
-            checks.append((val, fd(m.item_bias, (j,))))
+            checks.append((g["item_bias"][j], fd(m.item_bias, (j,))))
         for got, num in checks:
             rel = abs(got - num) / max(abs(num), 1e-8)
             worst = max(worst, rel)
@@ -112,7 +111,7 @@ def test_criterion_02_loss_scalar_oracle():
         pos = int(rng.integers(10))
         n_negs = int(rng.integers(1, 6))
         negs = [int(j) for j in rng.choice([j for j in range(10) if j != pos], n_negs, replace=False)]
-        got = loss_for_example(m, user, pos, negs, cfg).total
+        got = loss_and_grads(m, user, pos, negs, cfg)[0].total
         want = scalar_loss_oracle(m, user, pos, negs, cfg)
         worst = max(worst, abs(got - want))
     assert worst < 1e-10
@@ -290,21 +289,12 @@ def test_criterion_09_sampling_fidelity():
 
 
 def test_criterion_10_entropy_dynamics():
-    def sgd_step(model, g, lr):
-        model.personas[0] -= lr * g.persona
-        model.attn_user_map -= lr * g.attn_user_map
-        model.attn_item_map -= lr * g.attn_item_map
-        for j, vec in g.item_vectors.items():
-            model.item_vectors[j] -= lr * vec
-        for j, val in g.item_bias.items():
-            model.item_bias[j] -= lr * val
-
     pos, negs = 1, [2, 3]
     m = random_model(np.random.default_rng(5), r=2)
     concentrate = LossConfig(alpha=0.0, lambda_pos=1.0, lambda_neg=0.0)
     maxima = [attend(m, 0, [pos]).attn_weights.max()]
     for _ in range(100):
-        sgd_step(m, gradients(m, 0, pos, negs, concentrate), lr=0.1)
+        sgd_step(m, pos, negs, concentrate, lr=0.1)
         maxima.append(attend(m, 0, [pos]).attn_weights.max())
     assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
     assert maxima[-1] > maxima[0]
@@ -312,7 +302,7 @@ def test_criterion_10_entropy_dynamics():
     m = random_model(np.random.default_rng(6), r=2)
     spread = LossConfig(alpha=0.0, lambda_pos=0.0, lambda_neg=1.0)
     for _ in range(500):
-        sgd_step(m, gradients(m, 0, pos, negs, spread), lr=0.05)
+        sgd_step(m, pos, negs, spread, lr=0.05)
     finals = [attend(m, 0, [n]).attn_weights.max() for n in negs]
     for f in finals:
         assert f == pytest.approx(0.5, abs=0.05)

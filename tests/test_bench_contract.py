@@ -12,6 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from personacf.cli import main
+from test_cli import ratings_file, write_config  # noqa: F401 (a fixture)
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -30,6 +33,27 @@ def test_every_traced_layer_exists(perfbench):
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_layers_record_spans(perfbench, tmp_path, ratings_file):  # noqa: F811
+    """Each layer the CLI commands pass through records a span, so the
+    set-up path still calls through the names the benchmark wraps."""
+    import layers
+    import spans
+
+    cfg = str(write_config(tmp_path, ratings_file, tmp_path / "out"))
+    ckpt = str(tmp_path / "out" / "checkpoint.npz")
+    tracer = spans.Tracer()
+    layers.install(tracer)
+    try:
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 0
+        assert main(["explain", "-c", cfg, "--checkpoint", ckpt, "--user", "u0"]) == 0
+    finally:
+        tracer.uninstall()
+    layer_names = {"corpus.load", "corpus.split", "model.init", "model.save", "model.load",
+                   "trainer.train", "ranking.evaluate"}
+    assert layer_names - {s[spans.NAME] for s in tracer.spans} == set()
 
 
 def test_imported_names_exist():

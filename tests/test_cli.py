@@ -110,6 +110,9 @@ class TestErrors:
         ("eval", {"candidate_mode": "bogus"}),
         ("eval", {"cutoff": 0}),
         ("loss", {"negatives_per_positive": 0}),
+        ("loss", {"batch_size": 0}),
+        ("eval", {"num_sampled_negatives": -1}),
+        ("loss", {"max_epochs": 0}),
     ])
     def test_invalid_value_is_a_config_error(self, tmp_path, ratings_file, capsys,
                                               section, values):
@@ -233,6 +236,13 @@ class TestPipeline:
                      "-o", str(dest)]) == 0
         text = dest.read_text()
         assert "Item Zero" in text or "Item One" in text or "i" in text
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_explain_nonpositive_top(self, trained, capsys, top):
+        cfg, out = trained
+        assert main(["explain", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                     "--user", "u0", "--top", top]) == 1
+        assert capsys.readouterr().err.startswith("error: --top must be >= 1")
 
     def test_explain_unknown_user(self, trained):
         cfg, out = trained

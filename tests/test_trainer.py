@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import two_cluster_corpus
+from conftest import loss_and_grads, sgd_step, two_cluster_corpus
 from personacf import trainer
 from personacf.corpus import split_leave_one_out
-from personacf.model import ModelConfig, init_model, model_scorer
+from personacf.model import ModelConfig, attend, init_model, model_scorer
 from personacf.ranking import RankingProtocol, evaluate
 from personacf.trainer import (
     Adam,
@@ -16,8 +16,6 @@ from personacf.trainer import (
     _forward_backward,
     _row_gradients,
     _zero_touched_rows,
-    gradients,
-    loss_for_example,
     train,
 )
 from test_model import random_model
@@ -74,7 +72,7 @@ class TestLoss:
         for k in range(1, 4):
             m.personas[0, k] = m.personas[0, 0]
         cfg = LossConfig()
-        out = loss_for_example(m, 0, 1, [2, 3, 4, 5], cfg)
+        out, _ = loss_and_grads(m, 0, 1, [2, 3, 4, 5], cfg)
         assert out.pos_entropy == pytest.approx(math.log(4), abs=1e-9)
 
     def test_equal_scores_give_log5(self):
@@ -82,14 +80,14 @@ class TestLoss:
         # zero item vectors and biases: every candidate scores 0
         m.item_vectors[:] = 0.0
         m.item_bias[:] = 0.0
-        out = loss_for_example(m, 0, 1, [2, 3, 4, 5], LossConfig())
+        out, _ = loss_and_grads(m, 0, 1, [2, 3, 4, 5], LossConfig())
         assert out.data_loss == pytest.approx(math.log(5), abs=1e-9)
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(2)
         m = random_model(rng)
         cfg = LossConfig(alpha=0.3, lambda_pos=0.7, lambda_neg=1.3)
-        out = loss_for_example(m, 1, 0, [2, 5], cfg)
+        out, _ = loss_and_grads(m, 1, 0, [2, 5], cfg)
         assert out.entropy_loss == pytest.approx(
             cfg.lambda_pos * out.pos_entropy - cfg.lambda_neg * out.neg_entropy, abs=1e-12
         )
@@ -109,20 +107,15 @@ class TestLoss:
             user = int(rng.integers(5))
             pos = int(rng.integers(10))
             negs = [int(j) for j in rng.choice([j for j in range(10) if j != pos], 4, replace=False)]
-            got = loss_for_example(m, user, pos, negs, cfg).total
+            got = loss_and_grads(m, user, pos, negs, cfg)[0].total
             want = scalar_loss_oracle(m, user, pos, negs, cfg)
             assert got == pytest.approx(want, abs=1e-10)
-
-    def test_positive_among_negatives_rejected(self):
-        m = random_model(np.random.default_rng(4))
-        with pytest.raises(ValueError):
-            loss_for_example(m, 0, 3, [3, 4], LossConfig())
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = random_model(rng, r=3)
-            out = loss_for_example(m, 0, 1, [2, 3, 4, 5], LossConfig())
+            out, _ = loss_and_grads(m, 0, 1, [2, 3, 4, 5], LossConfig())
             assert 0.0 <= out.pos_entropy <= math.log(3) + 1e-12
             assert 0.0 <= out.neg_entropy <= 4 * math.log(3) + 1e-12
 
@@ -130,46 +123,91 @@ class TestLoss:
 class TestGradients:
     def test_alpha_one_drops_entropy_terms(self):
         m = random_model(np.random.default_rng(6))
-        a = gradients(m, 0, 1, [2, 3], LossConfig(alpha=1.0, lambda_pos=5.0, lambda_neg=5.0))
-        b = gradients(m, 0, 1, [2, 3], LossConfig(alpha=1.0, lambda_pos=0.0, lambda_neg=0.0))
-        np.testing.assert_allclose(a.persona, b.persona, atol=1e-12)
-        np.testing.assert_allclose(a.attn_user_map, b.attn_user_map, atol=1e-12)
-        np.testing.assert_allclose(a.attn_item_map, b.attn_item_map, atol=1e-12)
+        _, a = loss_and_grads(m, 0, 1, [2, 3], LossConfig(alpha=1.0, lambda_pos=5.0, lambda_neg=5.0))
+        _, b = loss_and_grads(m, 0, 1, [2, 3], LossConfig(alpha=1.0, lambda_pos=0.0, lambda_neg=0.0))
+        np.testing.assert_allclose(a["personas"][0], b["personas"][0], atol=1e-12)
+        np.testing.assert_allclose(a["attn_user_map"], b["attn_user_map"], atol=1e-12)
+        np.testing.assert_allclose(a["attn_item_map"], b["attn_item_map"], atol=1e-12)
 
     def test_single_persona_attention_maps_frozen(self):
         m = random_model(np.random.default_rng(7), r=1)
-        g = gradients(m, 0, 1, [2, 3, 4], LossConfig())
-        np.testing.assert_array_equal(g.attn_user_map, 0.0)
-        np.testing.assert_array_equal(g.attn_item_map, 0.0)
+        _, g = loss_and_grads(m, 0, 1, [2, 3, 4], LossConfig())
+        np.testing.assert_array_equal(g["attn_user_map"], 0.0)
+        np.testing.assert_array_equal(g["attn_item_map"], 0.0)
 
     def test_only_touched_items_have_entries(self):
         m = random_model(np.random.default_rng(8))
-        g = gradients(m, 0, 1, [2, 5], LossConfig())
-        assert set(g.item_vectors) == {1, 2, 5}
-        assert set(g.item_bias) == {1, 2, 5}
+        _, g = loss_and_grads(m, 0, 1, [2, 5], LossConfig())
+        others = np.setdiff1d(np.arange(m.config.num_items), [1, 2, 5])
+        np.testing.assert_array_equal(g["item_vectors"][others], 0.0)
+        np.testing.assert_array_equal(g["item_bias"][others], 0.0)
 
     def test_finite_differences_small(self):
         rng = np.random.default_rng(9)
         m = random_model(rng, d=4, da=4, r=2)
         cfg = LossConfig(alpha=0.4, lambda_pos=0.8, lambda_neg=1.2)
         user, pos, negs = 1, 0, [3, 7]
-        g = gradients(m, user, pos, negs, cfg)
+        _, g = loss_and_grads(m, user, pos, negs, cfg)
         h = 1e-5
 
         def fd(block, idx):
             orig = block[idx]
             block[idx] = orig + h
-            up = loss_for_example(m, user, pos, negs, cfg).total
+            up = loss_and_grads(m, user, pos, negs, cfg)[0].total
             block[idx] = orig - h
-            down = loss_for_example(m, user, pos, negs, cfg).total
+            down = loss_and_grads(m, user, pos, negs, cfg)[0].total
             block[idx] = orig
             return (up - down) / (2 * h)
 
-        for idx, val in np.ndenumerate(g.persona):
+        for idx, val in np.ndenumerate(g["personas"][user]):
             num = fd(m.personas, (user, *idx))
             assert val == pytest.approx(num, rel=1e-4, abs=1e-8)
-        for j, val in g.item_bias.items():
-            assert val == pytest.approx(fd(m.item_bias, (j,)), rel=1e-4, abs=1e-8)
+        for j in (pos, *negs):
+            assert g["item_bias"][j] == pytest.approx(fd(m.item_bias, (j,)), rel=1e-4, abs=1e-8)
+
+
+batch_shapes = dict(B=st.integers(1, 4), C=st.integers(2, 5), r=st.integers(1, 3),
+                    d=st.integers(1, 4), da=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+
+
+def random_batch(B, C, r, d, da, seed):
+    """A random model and a batch whose items may repeat within and across rows."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, num_users=4, num_items=6, d=d, da=da, r=r)
+    return m, rng.integers(4, size=B), rng.integers(6, size=(B, C))
+
+
+class TestBatchedPathMatchesReference:
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0), **batch_shapes)
+    def test_gradients_match_finite_differences(self, alpha, B, C, r, d, da, seed):
+        m, users, items = random_batch(B, C, r, d, da, seed)
+        cfg = LossConfig(alpha=alpha, lambda_pos=0.8, lambda_neg=1.2)
+        _, grads = _forward_backward(m, users, items, cfg, 1.0 / B, _row_gradients(m))
+        h = 1e-5
+
+        def total():
+            return _forward_backward(m, users, items, cfg, 1.0, _row_gradients(m))[0].total
+
+        for name, block in m.parameter_blocks().items():
+            numeric = np.zeros_like(block)
+            for idx in np.ndindex(block.shape):
+                orig = block[idx]
+                block[idx] = orig + h
+                up = total()
+                block[idx] = orig - h
+                numeric[idx] = (up - total()) / (2 * h)
+                block[idx] = orig
+            np.testing.assert_allclose(grads[name], numeric, rtol=1e-4, atol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**batch_shapes)
+    def test_data_loss_matches_inference_forward(self, B, C, r, d, da, seed):
+        m, users, items = random_batch(B, C, r, d, da, seed)
+        out, _ = _forward_backward(m, users, items, LossConfig(alpha=1.0), 1.0, _row_gradients(m))
+        scores = [attend(m, u, row).scores for u, row in zip(users, items)]
+        want = np.mean([np.logaddexp.reduce(s) - s[0] for s in scores])
+        assert out.data_loss == pytest.approx(want, abs=1e-10)
 
 
 class TestAdam:
@@ -265,8 +303,8 @@ class TestGradientBuffers:
         ]
         for users, items in batches:
             scale = 1.0 / len(users)
-            _, want, _ = _forward_backward(m, users, items, cfg, scale, _row_gradients(m))
-            _, got, _ = _forward_backward(m, users, items, cfg, scale, row_grads=row_grads)
+            _, want = _forward_backward(m, users, items, cfg, scale, _row_gradients(m))
+            _, got = _forward_backward(m, users, items, cfg, scale, row_grads=row_grads)
             assert list(got) == list(want)
             for k in want:
                 assert got[k].tobytes() == want[k].tobytes()
@@ -304,37 +342,24 @@ class TestGradientBuffers:
 
 
 class TestEntropyDynamics:
-    def _sgd_step(self, model, g, lr):
-        model.personas[0] -= lr * g.persona
-        model.attn_user_map -= lr * g.attn_user_map
-        model.attn_item_map -= lr * g.attn_item_map
-        for j, vec in g.item_vectors.items():
-            model.item_vectors[j] -= lr * vec
-        for j, val in g.item_bias.items():
-            model.item_bias[j] -= lr * val
-
     def test_positive_entropy_concentrates_attention(self):
-        from personacf.model import attend
-
         m = random_model(np.random.default_rng(12), r=2)
         cfg = LossConfig(alpha=0.0, lambda_pos=1.0, lambda_neg=0.0)
         pos, negs = 1, [2, 3]
         maxima = []
         for _ in range(100):
             maxima.append(attend(m, 0, [pos]).attn_weights.max())
-            self._sgd_step(m, gradients(m, 0, pos, negs, cfg), lr=0.1)
+            sgd_step(m, pos, negs, cfg, lr=0.1)
         maxima.append(attend(m, 0, [pos]).attn_weights.max())
         assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] > maxima[0]
 
     def test_negative_entropy_spreads_attention(self):
-        from personacf.model import attend
-
         m = random_model(np.random.default_rng(13), r=2)
         cfg = LossConfig(alpha=0.0, lambda_pos=0.0, lambda_neg=1.0)
         pos, negs = 1, [2, 3]
         for _ in range(500):
-            self._sgd_step(m, gradients(m, 0, pos, negs, cfg), lr=0.05)
+            sgd_step(m, pos, negs, cfg, lr=0.05)
         for n in negs:
             assert attend(m, 0, [n]).attn_weights.max() == pytest.approx(0.5, abs=0.05)
 
