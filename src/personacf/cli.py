@@ -75,9 +75,23 @@ def _write_tdd_report(path: Path, cfg: RunConfig, report) -> None:
 
 
 def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
+    """The persisted taste space if its shapes fit the corpus, else a new
+    one saved in its place. A mismatched ``--taste-space`` file is an error."""
     cache_path = Path(cache) if cache else out_dir / "taste_space.npz"
     if cache_path.exists():
-        return taste_mod.load_taste_space(cache_path)
+        space = taste_mod.load_taste_space(cache_path)
+        vectors, means = space.item_vectors, space.cluster_means
+        if (
+            vectors.ndim == means.ndim == 2
+            and vectors.shape[0] == split.train.num_items
+            and means.shape[1] == vectors.shape[1]
+        ):
+            return space
+        if cache:
+            raise ConfigError(
+                f"taste space {cache_path} has item vectors {vectors.shape} and "
+                f"cluster means {means.shape}; the dataset has {split.train.num_items} items"
+            )
     space = taste_mod.build_taste_space(
         split.train,
         pca_dims=cfg.taste.pca_dims,
@@ -211,8 +225,16 @@ def cmd_explain(cfg: RunConfig, args, data, split, model) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with an ``error:`` line, like config errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="personacf",
         description="Multi-persona collaborative filtering: train, rank, "
         "taste-distribution reports and persona explanations.",

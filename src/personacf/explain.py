@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import Interactions
-from .model import PersonaModel, attend, model_scorer
+from .model import PersonaModel, attend, item_projection, model_scorer
 from .ranking import top_k_recommendations, top_positions, unconsumed
 
 
@@ -31,10 +31,10 @@ class ExplanationReport:
     training_items: list[LabeledItem]
 
 
-def _labeled(model: PersonaModel, user: int, items, scored: bool) -> list[LabeledItem]:
+def _labeled(model: PersonaModel, user: int, items, projection, scored: bool) -> list[LabeledItem]:
     """Label each item with its largest-attention persona, from one forward
     pass over ``items``."""
-    trace = attend(model, user, items)
+    trace = attend(model, user, items, projection)
     labels = trace.attn_weights.argmax(axis=0)  # argmax takes the lowest index on ties
     return [
         LabeledItem(
@@ -64,12 +64,15 @@ def explain_user(
         [(int(candidates[i]), float(row[i])) for i in top_positions(row, candidates, n)]
         for row in per_persona
     ]
-    final_items, _ = top_k_recommendations(model_scorer(model), user, data, n)
+    projection = item_projection(model)
+    final_items, _ = top_k_recommendations(model_scorer(model, projection), user, data, n)
     return ExplanationReport(
         user=user,
         persona_lists=persona_lists,
-        final_list=_labeled(model, user, final_items, scored=True),
-        training_items=_labeled(model, user, data.per_user_items[user], scored=False),
+        final_list=_labeled(model, user, final_items, projection, scored=True),
+        training_items=_labeled(
+            model, user, data.per_user_items[user], projection, scored=False
+        ),
     )
 
 

@@ -99,13 +99,22 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def attend(model: PersonaModel, user: int, items) -> AttentionTrace:
-    """The inference forward pass: one user over an array of items."""
+def item_projection(model: PersonaModel) -> np.ndarray:
+    """phi_j = W_item v_j for every item, (num_items, d_a). It does not
+    depend on the user, so a scorer builds it once and shares it."""
+    return model.item_vectors @ model.attn_item_map.T
+
+
+def attend(model: PersonaModel, user: int, items, projection=None) -> AttentionTrace:
+    """The inference forward pass: one user over an array of items.
+    ``projection`` is ``item_projection(model)``, built here when not given."""
     items = np.asarray(items, dtype=np.intp)
+    if projection is None:
+        projection = item_projection(model)
     personas = model.personas[user]  # (r, d)
     vectors = model.item_vectors[items]  # (m, d)
     psi = personas @ model.attn_user_map  # (r, d_a)
-    phi = vectors @ model.attn_item_map.T  # (m, d_a)
+    phi = projection[items]  # (m, d_a)
     logits = psi @ phi.T  # (r, m)
     weights = softmax(logits, axis=0)  # (r, m)
     x = weights.T @ personas  # (m, d)
@@ -113,16 +122,20 @@ def attend(model: PersonaModel, user: int, items) -> AttentionTrace:
     return AttentionTrace(logits, weights, x, scores)
 
 
-def score_all_items(model: PersonaModel, user: int, candidates) -> np.ndarray:
+def score_all_items(model: PersonaModel, user: int, candidates, projection=None) -> np.ndarray:
     """Scores for one user over an array of candidate items."""
-    return attend(model, user, candidates).scores
+    return attend(model, user, candidates, projection).scores
 
 
-def model_scorer(model: PersonaModel):
-    """Scorer callable (user, candidates) -> scores used by the evaluators."""
+def model_scorer(model: PersonaModel, projection=None):
+    """Scorer callable (user, candidates) -> scores used by the evaluators.
+    The item projection is built once per scorer unless one is given, so
+    a scorer must not outlive a change to the model."""
+    if projection is None:
+        projection = item_projection(model)
 
     def scorer(user: int, candidates: np.ndarray) -> np.ndarray:
-        return score_all_items(model, user, candidates)
+        return score_all_items(model, user, candidates, projection)
 
     return scorer
 

@@ -46,8 +46,18 @@ def unconsumed(num_items: int, items) -> np.ndarray:
 
 def top_positions(scores: np.ndarray, items: np.ndarray, n: int) -> np.ndarray:
     """Positions of the ``n`` best entries: descending score, ascending
-    item index on ties."""
-    return np.lexsort((items, -scores))[:n]
+    item index on ties, NaN last (the order of a full ``lexsort``).
+
+    A partition finds the n-th best score first, and only the entries
+    scoring at least that much are sorted, ties with it included.
+    """
+    keys = -scores
+    if 0 < n < len(keys):
+        nth = np.partition(keys, n - 1)[n - 1]
+        if not np.isnan(nth):
+            head = np.flatnonzero(keys <= nth)
+            return head[np.lexsort((items[head], keys[head]))][:n]
+    return np.lexsort((items, keys))[:n]
 
 
 def _rank_of_target(scores: np.ndarray, candidates: np.ndarray, target_pos: int) -> int:

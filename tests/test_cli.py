@@ -9,6 +9,7 @@ import yaml
 
 import personacf
 from personacf.cli import main
+from personacf.taste import load_taste_space, save_taste_space
 
 
 @pytest.fixture
@@ -165,6 +166,30 @@ class TestErrors:
         assert err.startswith("error: ") and "item_vectors" in err
 
 
+class TestUsageErrors:
+    """argparse usage errors exit 1, as config errors do; --help exits 0."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["explain", "-c", "run.yaml", "--checkpoint", "c.npz", "--user", "u0",
+          "--top", "abc"], "error: argument --top: invalid int value: 'abc'"),
+        (["eval", "-c", "run.yaml"], "error: the following arguments are required: --checkpoint"),
+        (["frobnicate", "-c", "run.yaml"], "error: argument command: invalid choice: 'frobnicate'"),
+    ], ids=["top-not-an-int", "eval-without-checkpoint", "unknown-command"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: personacf")
+        assert err[-1].startswith(message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: personacf")
+
+
 class TestPipeline:
     @pytest.fixture
     def trained(self, tmp_path, ratings_file):
@@ -209,6 +234,45 @@ class TestPipeline:
         assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
         assert cache.stat().st_mtime_ns == stamp  # reused, not rebuilt
         assert (out / "tdd_report.tsv").read_text() == report_1
+
+    @staticmethod
+    def _save_misshapen_space(cfg, out, dest, block):
+        """Build the real taste space with ``tdd``, then write a copy to
+        ``dest`` with one item row or one cluster-mean column dropped."""
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz")]) == 0
+        space = load_taste_space(out / "taste_space.npz")
+        if block == "item_vectors":
+            space.item_vectors = space.item_vectors[:-1]
+        else:
+            space.cluster_means = space.cluster_means[:, :-1]
+        save_taste_space(dest, space)
+
+    @pytest.mark.parametrize("block", ["item_vectors", "cluster_means"])
+    @pytest.mark.parametrize("command", ["tdd", "aisp"])
+    def test_misshapen_taste_space_file_is_an_error(self, trained, tmp_path, capsys,
+                                                     command, block):
+        cfg, out = trained
+        stale = tmp_path / "stale.npz"
+        self._save_misshapen_space(cfg, out, stale, block)
+        argv = [command, "-c", str(cfg), "--taste-space", str(stale)]
+        if command == "tdd":
+            argv += ["--checkpoint", str(out / "checkpoint.npz")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: taste space {stale} has ")
+
+    @pytest.mark.parametrize("block", ["item_vectors", "cluster_means"])
+    def test_misshapen_default_taste_space_is_rebuilt(self, trained, tmp_path, block):
+        cfg, out = trained
+        ckpt = str(out / "checkpoint.npz")
+        cache = out / "taste_space.npz"
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
+        fresh_space = cache.read_bytes()
+        fresh_report = (out / "tdd_report.tsv").read_text()
+        self._save_misshapen_space(cfg, out, cache, block)
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
+        assert cache.read_bytes() == fresh_space
+        assert (out / "tdd_report.tsv").read_text() == fresh_report
 
     def test_aisp(self, trained):
         cfg, out = trained

@@ -4,16 +4,24 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_interactions
+from personacf.corpus import split_leave_one_out
 from personacf.model import (
     CheckpointError,
     ModelConfig,
     attend,
     init_model,
+    item_projection,
     load_checkpoint,
+    model_scorer,
     save_checkpoint,
     score_all_items,
+    softmax,
 )
+from personacf.ranking import unconsumed
 
 
 def random_model(rng, num_users=5, num_items=10, d=4, da=4, r=3, scale=0.5):
@@ -119,6 +127,74 @@ class TestAttend:
         m.attn_item_map *= 7.5
         after = [attend_pair(m, u, j).attn_weights.argmax() for u in range(5) for j in range(10)]
         assert before == after
+
+
+def per_call_attend(m, user, items):
+    """(scores, attention weights) of the forward pass with phi computed
+    from this call's own item rows, as before the shared projection."""
+    items = np.asarray(items, dtype=np.intp)
+    personas = m.personas[user]
+    vectors = m.item_vectors[items]
+    psi = personas @ m.attn_user_map
+    phi = vectors @ m.attn_item_map.T
+    weights = softmax(psi @ phi.T, axis=0)
+    x = weights.T @ personas
+    return np.einsum("md,md->m", x, vectors) + m.item_bias[items], weights
+
+
+class TestSharedItemProjection:
+    """``attend`` gathers phi from one catalogue-wide projection. Rows of a
+    matrix product need not round the same way for every row count: on
+    OpenBLAS, products of 1 to 18 rows take a small-matrix kernel, so a
+    subset that small differs from its gathered rows in the last bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(40, 400), st.integers(1, 8))
+    def test_byte_equal_on_every_full_pool(self, seed, num_items, num_users):
+        # the pools top-k (train items removed) and all-items eval (every
+        # consumed item removed, target first) score; histories of at most
+        # half the catalogue leave each pool at least 20 items
+        rng = np.random.default_rng(seed)
+        rows = [
+            rng.choice(num_items, size=rng.integers(2, num_items // 2 + 1), replace=False)
+            for _ in range(num_users)
+        ]
+        split = split_leave_one_out(make_interactions(rows, num_items))
+        m = random_model(rng, num_users, num_items, d=64, da=64, r=2, scale=0.1)
+        projection = item_projection(m)
+        scorer = model_scorer(m)
+        for u, target in split.test.items():
+            top_k_pool = unconsumed(num_items, split.train.per_user_items[u])
+            eval_pool = np.concatenate(
+                [[target], unconsumed(num_items, split.full.per_user_items[u])]
+            )
+            for items in (top_k_pool, eval_pool):
+                scores, weights = per_call_attend(m, u, items)
+                trace = attend(m, u, items, projection)
+                assert trace.scores.tobytes() == scores.tobytes()
+                assert trace.attn_weights.tobytes() == weights.tobytes()
+                assert scorer(u, items).tobytes() == scores.tobytes()
+                assert score_all_items(m, u, items).tobytes() == scores.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.sampled_from([(4, 4, 1), (8, 8, 2), (16, 12, 3), (64, 64, 2)]),
+    )
+    def test_close_on_every_subset_size(self, seed, num_items, dims):
+        # the last-bit gap scales with the values: at parameter scale 0.1
+        # it stays near 1e-16, so 1e-15 leaves an order of magnitude
+        d, da, r = dims
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, 2, num_items, d=d, da=da, r=r, scale=0.1)
+        projection = item_projection(m)
+        for size in range(1, num_items + 1):
+            items = rng.choice(num_items, size=size, replace=False)
+            scores, weights = per_call_attend(m, 1, items)
+            trace = attend(m, 1, items, projection)
+            assert np.allclose(trace.scores, scores, rtol=0, atol=1e-15)
+            assert np.allclose(trace.attn_weights, weights, rtol=0, atol=1e-15)
 
 
 class TestScoreAllItems:

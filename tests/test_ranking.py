@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_interactions
+from personacf.corpus import split_leave_one_out
+from personacf.model import ModelConfig, init_model, model_scorer
 from personacf.ranking import (
     RankingProtocol,
     evaluate,
     top_k_recommendations,
+    top_positions,
     unconsumed,
 )
 
@@ -124,6 +129,62 @@ class TestEvaluate:
         report = evaluate(scorer, {0: 2}, data, RankingProtocol())
         assert report.skipped == [0]
         assert report.per_user == []
+
+
+class TestAllItemsMatchesBruteForce:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ranks_equal_brute_force(self, data):
+        """All-items ``evaluate`` through ``model_scorer`` ranks each test
+        item as a count over every item the user never consumed, ties
+        broken by ascending index."""
+        num_items = data.draw(st.integers(2, 30))
+        item = st.integers(0, num_items - 1)
+        rows = data.draw(st.lists(st.lists(item, min_size=2, max_size=num_items, unique=True),
+                                  min_size=1, max_size=8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        corpus = make_interactions(rows, num_items)
+        split = split_leave_one_out(corpus)
+        m = init_model(ModelConfig(len(rows), num_items, embedding_dim=4, attention_dim=4),
+                       rng)
+        m.personas[:] = rng.normal(0, 0.5, m.personas.shape)
+        m.item_vectors[:] = rng.normal(0, 0.5, m.item_vectors.shape)
+        # an item with a zero vector scores exactly its bias wherever it
+        # sits in the candidate array, so biases of 0 or 1 make exact ties
+        m.item_vectors[rng.random(num_items) < 0.5] = 0.0
+        m.item_bias[:] = rng.integers(0, 2, num_items)
+        scorer = model_scorer(m)
+        report = evaluate(scorer, split.test, corpus, RankingProtocol(candidate_mode="all-items"))
+        expected = []
+        for u in sorted(split.test):
+            s, t = scorer(u, np.arange(num_items)), split.test[u]
+            pool = set(range(num_items)) - set(rows[u])
+            expected.append((u, 1 + sum(s[j] > s[t] or (s[j] == s[t] and j < t) for j in pool)))
+        assert report.per_user == expected
+
+
+def full_sort_positions(scores, items, n):
+    """``top_positions`` as one lexsort over every entry."""
+    return np.lexsort((items, -scores))[:n]
+
+
+SPECIAL_SCORES = [0.0, -0.0, 0.5, -1.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestTopPositions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_lexsort(self, data):
+        length = data.draw(st.integers(0, 40))
+        value = st.sampled_from(SPECIAL_SCORES) | st.floats()  # floats include NaN and inf
+        scores = np.array(data.draw(st.lists(value, min_size=length, max_size=length)))
+        items = np.array(
+            data.draw(st.lists(st.integers(0, 15), min_size=length, max_size=length)),
+            dtype=np.intp,
+        )
+        n = data.draw(st.integers(1, length + 2))
+        got = top_positions(scores, items, n)
+        np.testing.assert_array_equal(got, full_sort_positions(scores, items, n))
 
 
 class TestTopK:
