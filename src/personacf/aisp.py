@@ -18,7 +18,6 @@ from .taste import TasteSpace
 class AispModel:
     user_personas: list[np.ndarray]  # per user: (<=p, pca_dims) centroids
     item_vectors: np.ndarray  # shared PCA item vectors
-    persona_count: int
 
 
 def build_aisp(
@@ -36,11 +35,7 @@ def build_aisp(
         points = space.item_vectors[items]
         centroids, _, _ = kmeans(points, p, rng)
         user_personas.append(centroids)
-    return AispModel(
-        user_personas=user_personas,
-        item_vectors=space.item_vectors,
-        persona_count=p,
-    )
+    return AispModel(user_personas=user_personas, item_vectors=space.item_vectors)
 
 
 def aisp_score_items(model: AispModel, user: int, candidates) -> np.ndarray:

@@ -30,6 +30,7 @@ from .model import (
     save_checkpoint,
 )
 from .ranking import evaluate
+from .taste import TasteSpaceError
 from .trainer import TrainingDiverged, train
 
 
@@ -75,23 +76,27 @@ def _write_tdd_report(path: Path, cfg: RunConfig, report) -> None:
 
 
 def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
-    """The persisted taste space if its shapes fit the corpus, else a new
-    one saved in its place. A mismatched ``--taste-space`` file is an error."""
+    """The persisted taste space if it reads and its shapes fit the corpus,
+    else a new one saved in its place. An unreadable or mismatched
+    ``--taste-space`` file is an error."""
     cache_path = Path(cache) if cache else out_dir / "taste_space.npz"
     if cache_path.exists():
-        space = taste_mod.load_taste_space(cache_path)
-        vectors, means = space.item_vectors, space.cluster_means
-        if (
-            vectors.ndim == means.ndim == 2
-            and vectors.shape[0] == split.train.num_items
-            and means.shape[1] == vectors.shape[1]
-        ):
-            return space
-        if cache:
-            raise ConfigError(
+        try:
+            space = taste_mod.load_taste_space(cache_path)
+            vectors, means = space.item_vectors, space.cluster_means
+            if (
+                vectors.ndim == means.ndim == 2
+                and vectors.shape[0] == split.train.num_items
+                and means.shape[1] == vectors.shape[1]
+            ):
+                return space
+            raise TasteSpaceError(
                 f"taste space {cache_path} has item vectors {vectors.shape} and "
                 f"cluster means {means.shape}; the dataset has {split.train.num_items} items"
             )
+        except TasteSpaceError:
+            if cache:
+                raise
     space = taste_mod.build_taste_space(
         split.train,
         pca_dims=cfg.taste.pca_dims,
@@ -206,15 +211,10 @@ def cmd_explain(cfg: RunConfig, args, data, split, model) -> int:
     if args.user not in data.user_index:
         raise ConfigError(f"unknown user id {args.user!r}")
     titles = None
-    if args.titles:
-        titles = {}
+    if args.titles:  # "<item id><delimiter><title>" per line; a repeated id keeps its last title
         with open(args.titles, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                ext, _, title = line.partition(args.titles_delimiter)
-                titles[ext] = title
+            rows = (line.rstrip("\n") for line in fh)
+            titles = dict(row.partition(args.titles_delimiter)[::2] for row in rows if row)
     report = explain_user(model, data.user_index[args.user], split.train, args.top)
     text = render_markdown(report, item_ids=data.item_ids, titles=titles)
     if args.output:
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         data, split = _load_split(cfg)
         model = _load_model_checked(args.checkpoint, data) if "checkpoint" in args else None
         return args.fn(cfg, args, data, split, model)
-    except (CheckpointError, ConfigError, CorpusError, FileNotFoundError) as exc:
+    except (CheckpointError, ConfigError, CorpusError, FileNotFoundError, TasteSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDiverged, OSError, ValueError) as exc:

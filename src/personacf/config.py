@@ -130,6 +130,4 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    if raw is None:
-        raw = {}
-    return parse_config(raw)
+    return parse_config({} if raw is None else raw)  # an empty file is all defaults

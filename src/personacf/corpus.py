@@ -34,6 +34,10 @@ class RatingFormat:
     header: bool = False
 
     def __post_init__(self):
+        if not self.delimiter:
+            raise CorpusError("the delimiter must not be empty")
+        if len(set(self.columns)) != len(self.columns):
+            raise CorpusError(f"column names repeat: {list(self.columns)}")
         for c in self.columns:
             if c not in VALID_COLUMNS:
                 raise CorpusError(f"unknown column name {c!r}")

@@ -85,32 +85,21 @@ def render_markdown(
 
     def name(j: int) -> str:
         ext = item_ids[j] if item_ids else str(j)
-        if titles and ext in titles:
-            return titles[ext]
-        return ext
+        return titles.get(ext, ext) if titles else ext
 
     lines = [f"# Recommendations for user {report.user}", ""]
     for k, plist in enumerate(report.persona_lists):
-        lines.append(f"## Persona {k}")
-        lines.append("")
-        lines.append("| rank | item | score |")
-        lines.append("|---:|---|---:|")
+        lines += [f"## Persona {k}", "", "| rank | item | score |", "|---:|---|---:|"]
         for rank, (j, score) in enumerate(plist, start=1):
             lines.append(f"| {rank} | {name(j)} | {score:.4f} |")
         lines.append("")
-    lines.append("## Final list")
-    lines.append("")
-    lines.append("| rank | item | score | persona | attention |")
-    lines.append("|---:|---|---:|---:|---:|")
+    lines += ["## Final list", "", "| rank | item | score | persona | attention |",
+              "|---:|---|---:|---:|---:|"]
     for rank, li in enumerate(report.final_list, start=1):
         lines.append(
             f"| {rank} | {name(li.item)} | {li.score:.4f} | {li.persona} | {li.weight:.3f} |"
         )
-    lines.append("")
-    lines.append("## Training items")
-    lines.append("")
-    lines.append("| item | persona | attention |")
-    lines.append("|---|---:|---:|")
+    lines += ["", "## Training items", "", "| item | persona | attention |", "|---|---:|---:|"]
     for li in report.training_items:
         lines.append(f"| {name(li.item)} | {li.persona} | {li.weight:.3f} |")
     lines.append("")

@@ -4,6 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+N_INIT = 3  # k-means++ restarts; the lowest final objective wins
+MAX_ITER = 300  # Lloyd iterations per restart
+TOL = 1e-6  # a restart stops once every centroid coordinate moves less than this
+
+
+def _sq_dists(points, sq_norms, centroids):
+    """(n, k) squared distances; ``sq_norms`` is ``np.square(points).sum(axis=1)``."""
+    return sq_norms[:, None] - 2.0 * points @ centroids.T + np.square(centroids).sum(axis=1)
+
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
@@ -20,57 +29,36 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _lloyd(points, centroids, max_iter, tol):
+def _lloyd(points, sq_norms, centroids):
     objectives = []
-    labels = None
-    for _ in range(max_iter):
-        d2 = (
-            np.square(points).sum(axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.square(centroids).sum(axis=1)[None, :]
-        )
+    for _ in range(MAX_ITER):
+        d2 = _sq_dists(points, sq_norms, centroids)
         labels = d2.argmin(axis=1)
-        objectives.append(float(d2[np.arange(len(points)), labels].sum()))
-        new = centroids.copy()
-        shift = 0.0
+        objectives.append(float(d2.min(axis=1).sum()))
+        new, shift = centroids.copy(), 0.0
         for c in range(len(centroids)):
             members = points[labels == c]
             if len(members):
                 new[c] = members.mean(axis=0)
                 shift = max(shift, float(np.abs(new[c] - centroids[c]).max()))
         centroids = new
-        if shift < tol:
+        if shift < TOL:
             break
     return centroids, labels, objectives
 
 
 def kmeans(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    n_init: int = 3,
-    max_iter: int = 300,
-    tol: float = 1e-6,
+    points: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Cluster ``points`` into k groups; returns (centroids, labels,
     per-iteration objective of the winning restart). k is capped at the
     number of distinct points."""
     points = np.asarray(points, dtype=float)
+    sq_norms = np.square(points).sum(axis=1)
     distinct = np.unique(points, axis=0)
     k = min(k, len(distinct))
-    if k == len(distinct):
-        # exact solution: one centroid per distinct point
-        d2 = (
-            np.square(points).sum(axis=1)[:, None]
-            - 2.0 * points @ distinct.T
-            + np.square(distinct).sum(axis=1)[None, :]
-        )
-        labels = d2.argmin(axis=1)
-        return distinct, labels, [0.0]
-    best = None
-    for _ in range(n_init):
-        init = _kmeans_pp_init(points, k, rng)
-        centroids, labels, objectives = _lloyd(points, init, max_iter, tol)
-        if best is None or objectives[-1] < best[2][-1]:
-            best = (centroids, labels, objectives)
-    return best
+    if k == len(distinct):  # exact solution: one centroid per distinct point
+        return distinct, _sq_dists(points, sq_norms, distinct).argmin(axis=1), [0.0]
+    # restarts run in order; min keeps the first of equal final objectives
+    restarts = (_lloyd(points, sq_norms, _kmeans_pp_init(points, k, rng)) for _ in range(N_INIT))
+    return min(restarts, key=lambda run: run[2][-1])

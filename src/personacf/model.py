@@ -9,6 +9,7 @@ scored against the item vector plus an item bias.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -162,29 +163,38 @@ def save_checkpoint(
     )
 
 
+def read_npz(path, error: type[Exception]) -> dict[str, np.ndarray]:
+    """Every array of an .npz file; an existing file that is not a readable
+    .npz (empty, not a zip, a corrupt zip, a bare .npy) raises ``error``."""
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise error(f"{path} is not a readable .npz file: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple[PersonaModel, dict]:
     """Read a checkpoint, checking every block's shape and float dtype
     against the checkpoint's own config."""
-    with np.load(path) as data:
-        if "meta" not in data.files:
-            raise CheckpointError(f"{path}: no meta record")
+    data = read_npz(path, CheckpointError)
+    try:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         config = ModelConfig(**meta["config"])
-        d, da = config.embedding_dim, config.attention_dim
-        shapes = {
-            "personas": (config.num_users, config.personas, d),
-            "item_vectors": (config.num_items, d),
-            "attn_user_map": (d, da),
-            "attn_item_map": (da, d),
-            "item_bias": (config.num_items,),
-        }
-        blocks = {}
-        for name, shape in shapes.items():
-            block = data[name] if name in data.files else None
-            if block is None or block.shape != shape or block.dtype.kind != "f":
-                found = "missing" if block is None else f"{block.dtype} {block.shape}"
-                raise CheckpointError(
-                    f"{path}: block {name!r} is {found}, config needs float {shape}"
-                )
-            blocks[name] = block
-    return PersonaModel(config=config, **blocks), meta
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unreadable meta record ({exc!r})") from None
+    d, da = config.embedding_dim, config.attention_dim
+    shapes = {
+        "personas": (config.num_users, config.personas, d),
+        "item_vectors": (config.num_items, d),
+        "attn_user_map": (d, da),
+        "attn_item_map": (da, d),
+        "item_bias": (config.num_items,),
+    }
+    for name, shape in shapes.items():
+        block = data.get(name)
+        if block is None or block.shape != shape or block.dtype.kind != "f":
+            found = "missing" if block is None else f"{block.dtype} {block.shape}"
+            raise CheckpointError(
+                f"{path}: block {name!r} is {found}, config needs float {shape}"
+            )
+    return PersonaModel(config=config, **{name: data[name] for name in shapes}), meta

@@ -87,8 +87,7 @@ def evaluate(
     k = protocol.cutoff
     per_user: list[tuple[int, int]] = []
     skipped: list[int] = []
-    hits = 0.0
-    gains = 0.0
+    hits = gains = 0.0
     for user in sorted(targets):
         target = targets[user]
         pool = unconsumed(data.num_items, np.append(data.per_user_items[user], target))

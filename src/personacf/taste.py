@@ -19,7 +19,12 @@ import numpy as np
 
 from .corpus import Interactions, Split
 from .kmeans import kmeans
+from .model import read_npz
 from .ranking import top_k_recommendations
+
+
+class TasteSpaceError(ValueError):
+    """Raised when a persisted taste space cannot be read."""
 
 
 @dataclass
@@ -174,12 +179,9 @@ def save_taste_space(path, space: TasteSpace) -> None:
 
 
 def load_taste_space(path) -> TasteSpace:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        return TasteSpace(
-            item_vectors=data["item_vectors"],
-            cluster_means=data["cluster_means"],
-            pca_basis=data["pca_basis"],
-            pca_mean=data["pca_mean"],
-            centered=meta["centered"],
-        )
+    data = read_npz(path, TasteSpaceError)
+    try:
+        meta = json.loads(bytes(data.pop("meta")).decode())
+        return TasteSpace(**data, centered=meta["centered"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TasteSpaceError(f"{path} is not a taste space: {exc!r}") from None

@@ -74,11 +74,6 @@ class EpochRecord:
     val_ndcg: float
 
 
-def _entropy_terms(weights: np.ndarray) -> np.ndarray:
-    """Elementwise -w log w with the log clamped away from zero."""
-    return -weights * np.log(np.maximum(weights, ENTROPY_CLAMP))
-
-
 def _row_gradients(model: PersonaModel) -> dict[str, np.ndarray]:
     """Zeroed gradient buffers for the row-indexed parameter blocks."""
     return {
@@ -128,10 +123,13 @@ def _forward_backward(
     X = np.einsum("bkc,bkd->bcd", W, Ub)  # (B, C, d)
     y = np.einsum("bcd,bcd->bc", X, Vb) + model.item_bias[items]  # (B, C)
 
-    p = softmax(y, axis=1)  # softmax over candidates
-    shifted = y - y.max(axis=1, keepdims=True)
-    data_loss = -y[:, 0] + y.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
-    ent = _entropy_terms(W)  # (B, r, C)
+    y_max = y.max(axis=1, keepdims=True)
+    exp = np.exp(y - y_max)
+    exp_sum = exp.sum(axis=1, keepdims=True)
+    p = exp / exp_sum  # softmax over candidates
+    data_loss = -y[:, 0] + y_max[:, 0] + np.log(exp_sum[:, 0])
+    log_w = np.log(np.maximum(W, ENTROPY_CLAMP))  # (B, r, C), shared with the gradient
+    ent = -W * log_w
     pos_entropy = ent[:, :, 0].sum(axis=1)
     neg_entropy = ent[:, :, 1:].sum(axis=(1, 2))
     entropy_loss = lp * pos_entropy - ln_ * neg_entropy
@@ -153,7 +151,6 @@ def _forward_backward(
     gV = gy[:, :, None] * X  # direct score path
     gW = np.einsum("bcd,bkd->bkc", gX, Ub)  # via x
     # entropy paths: d(-w log w)/dw = -(log w + 1)
-    log_w = np.log(np.maximum(W, ENTROPY_CLAMP))
     gW[:, :, 0] += (1.0 - a) * lp * (-(log_w[:, :, 0] + 1.0))
     gW[:, :, 1:] += (1.0 - a) * ln_ * (log_w[:, :, 1:] + 1.0)
     # softmax backward over personas, per candidate
@@ -290,7 +287,7 @@ def train(
             )
             items = np.concatenate([pos[:, None], negs], axis=1)
             try:
-                breakdown, grads = _forward_backward(
+                loss, grads = _forward_backward(
                     model, users, items, cfg, scale=1.0 / len(batch), row_grads=row_grads
                 )
             except TrainingDiverged:
@@ -299,12 +296,7 @@ def train(
                 ) from None
             opt.step(model.parameter_blocks(), grads)
             _zero_touched_rows(row_grads, users, items)
-            sums += (
-                breakdown.data_loss,
-                breakdown.pos_entropy,
-                breakdown.neg_entropy,
-                breakdown.total,
-            )
+            sums += (loss.data_loss, loss.pos_entropy, loss.neg_entropy, loss.total)
             n_batches += 1
 
         report = evaluate(

@@ -56,7 +56,6 @@ class TestScore:
         model = AispModel(
             user_personas=[vectors[2:3].copy()],
             item_vectors=vectors,
-            persona_count=1,
         )
         for j in range(6):
             assert aisp_score_items(model, 0, [j])[0] == pytest.approx(float(vectors[2] @ vectors[j]), rel=1e-12)
@@ -64,7 +63,7 @@ class TestScore:
     def test_orthogonal_unit_personas_analytic(self):
         personas = np.array([[1.0, 0.0], [0.0, 1.0]])
         item_vectors = np.array([[1.0, 0.0]])
-        model = AispModel(user_personas=[personas], item_vectors=item_vectors, persona_count=2)
+        model = AispModel(user_personas=[personas], item_vectors=item_vectors)
         # logits (1, 0): attention e/(e+1) on persona 0, score e/(e+1)*1
         expected = math.e / (math.e + 1.0)
         assert aisp_score_items(model, 0, [0])[0] == pytest.approx(expected, abs=1e-12)
@@ -73,8 +72,8 @@ class TestScore:
         rng = np.random.default_rng(4)
         personas = rng.normal(size=(3, 5))
         items = rng.normal(size=(8, 5))
-        a = AispModel(user_personas=[personas], item_vectors=items, persona_count=3)
-        b = AispModel(user_personas=[personas[::-1].copy()], item_vectors=items, persona_count=3)
+        a = AispModel(user_personas=[personas], item_vectors=items)
+        b = AispModel(user_personas=[personas[::-1].copy()], item_vectors=items)
         np.testing.assert_allclose(
             aisp_score_items(a, 0, np.arange(8)),
             aisp_score_items(b, 0, np.arange(8)),
@@ -86,7 +85,7 @@ class TestScore:
         row = rng.normal(size=5)
         personas = np.tile(row, (3, 1))
         items = rng.normal(size=(8, 5))
-        model = AispModel(user_personas=[personas], item_vectors=items, persona_count=3)
+        model = AispModel(user_personas=[personas], item_vectors=items)
         np.testing.assert_allclose(
             aisp_score_items(model, 0, np.arange(8)), items @ row, atol=1e-10
         )
@@ -95,7 +94,7 @@ class TestScore:
         rng = np.random.default_rng(6)
         personas = rng.normal(size=(2, 4))
         items = rng.normal(size=(10, 4))
-        model = AispModel(user_personas=[personas], item_vectors=items, persona_count=2)
+        model = AispModel(user_personas=[personas], item_vectors=items)
         batch = aisp_score_items(model, 0, np.arange(10))
         for j in range(10):
             assert batch[j] == pytest.approx(aisp_score_items(model, 0, [j])[0], rel=1e-12)

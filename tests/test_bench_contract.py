@@ -49,11 +49,15 @@ def test_traced_layers_record_spans(perfbench, tmp_path, ratings_file):  # noqa:
         assert main(["train", "-c", cfg]) == 0
         assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 0
         assert main(["explain", "-c", cfg, "--checkpoint", ckpt, "--user", "u0"]) == 0
+        assert main(["tdd", "-c", cfg, "--checkpoint", ckpt]) == 0
+        assert main(["aisp", "-c", cfg]) == 0
     finally:
         tracer.uninstall()
     layer_names = {"corpus.load", "corpus.split", "model.init", "model.save", "model.load",
-                   "trainer.train", "ranking.evaluate"}
+                   "trainer.train", "ranking.evaluate", "taste.space", "kmeans", "taste.tdd",
+                   "ranking.topk", "taste.distribution", "aisp.build", "aisp.score"}
     assert layer_names - {s[spans.NAME] for s in tracer.spans} == set()
+    assert tracer.counts["kmeans.lloyd_iters"] > 0
 
 
 def test_imported_names_exist():

@@ -44,6 +44,24 @@ def write_config(tmp_path, ratings_file, out_dir, **overrides):
     return path
 
 
+def write_unreadable_npz(path, kind):
+    """Overwrite the .npz at ``path`` with a file numpy cannot read as one."""
+    if kind == "npy":
+        np.save(path.with_suffix(".npy"), np.arange(3.0))
+        path.with_suffix(".npy").replace(path)
+        return
+    whole = path.read_bytes()
+    path.write_bytes({
+        "empty": b"",
+        "text": b"user\titem\n",  # np.load takes this for pickled data
+        "not-a-zip": b"PK\x03\x04" + bytes(64),
+        "truncated-zip": whole[: len(whole) // 2],
+    }[kind])
+
+
+UNREADABLE_NPZ = ["empty", "text", "not-a-zip", "truncated-zip", "npy"]
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, tmp_path, ratings_file):
         out = tmp_path / "run"
@@ -165,6 +183,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "item_vectors" in err
 
+    @pytest.mark.parametrize("dataset,message", [
+        ({"delimiter": ""}, "the delimiter must not be empty"),
+        ({"columns": ["user", "item", "rating", "rating"]}, "column names repeat"),
+    ], ids=["empty-delimiter", "repeated-column"])
+    def test_bad_rating_format_is_a_corpus_error(self, tmp_path, ratings_file, capsys,
+                                                  dataset, message):
+        cfg = write_config(tmp_path, ratings_file, tmp_path / "o",
+                           dataset={"path": str(ratings_file), **dataset})
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("kind", UNREADABLE_NPZ)
+    def test_unreadable_checkpoint(self, tmp_path, ratings_file, capsys, kind):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, ratings_file, out)
+        assert main(["train", "-c", str(cfg)]) == 0
+        ckpt = out / "checkpoint.npz"
+        write_unreadable_npz(ckpt, kind)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt} is not a readable .npz file: ")
+
 
 class TestUsageErrors:
     """argparse usage errors exit 1, as config errors do; --help exits 0."""
@@ -274,6 +314,47 @@ class TestPipeline:
         assert cache.read_bytes() == fresh_space
         assert (out / "tdd_report.tsv").read_text() == fresh_report
 
+    @pytest.mark.parametrize("kind", [*UNREADABLE_NPZ, "no-meta"])
+    @pytest.mark.parametrize("command", ["tdd", "aisp"])
+    def test_unreadable_taste_space_file_is_an_error(self, trained, tmp_path, capsys,
+                                                      command, kind):
+        cfg, out = trained
+        bad = tmp_path / "bad.npz"
+        self._save_unreadable_space(cfg, out, bad, kind)
+        argv = [command, "-c", str(cfg), "--taste-space", str(bad)]
+        if command == "tdd":
+            argv += ["--checkpoint", str(out / "checkpoint.npz")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        expected = "is not a taste space" if kind == "no-meta" else "is not a readable .npz file"
+        assert capsys.readouterr().err.startswith(f"error: {bad} {expected}: ")
+
+    @pytest.mark.parametrize("kind", [*UNREADABLE_NPZ, "no-meta"])
+    def test_unreadable_default_taste_space_is_rebuilt(self, trained, kind):
+        cfg, out = trained
+        ckpt = str(out / "checkpoint.npz")
+        cache = out / "taste_space.npz"
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
+        fresh_space = cache.read_bytes()
+        fresh_report = (out / "tdd_report.tsv").read_text()
+        self._save_unreadable_space(cfg, out, cache, kind)
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
+        assert cache.read_bytes() == fresh_space
+        assert (out / "tdd_report.tsv").read_text() == fresh_report
+
+    @staticmethod
+    def _save_unreadable_space(cfg, out, dest, kind):
+        """Build the real taste space with ``tdd`` and copy it to ``dest``,
+        then spoil the copy: without its ``meta`` record, or not an .npz."""
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz")]) == 0
+        with np.load(out / "taste_space.npz") as data:
+            blocks = dict(data)
+        if kind == "no-meta":
+            del blocks["meta"]
+        np.savez(dest, **blocks)
+        if kind != "no-meta":
+            write_unreadable_npz(dest, kind)
+
     def test_aisp(self, trained):
         cfg, out = trained
         assert main(["aisp", "-c", str(cfg)]) == 0
@@ -300,6 +381,23 @@ class TestPipeline:
                      "-o", str(dest)]) == 0
         text = dest.read_text()
         assert "Item Zero" in text or "Item One" in text or "i" in text
+
+    def test_titles_file_rows(self, trained, tmp_path):
+        # every item shows: the user's training items plus all unconsumed ones
+        cfg, out = trained
+        titles = tmp_path / "titles.tsv"
+        rows = [f"i{j}\tTitle {j}" for j in range(12)]
+        rows[4] = "i4\tFour\twith a tab"  # the title is everything after the first delimiter
+        rows += ["", "i2\tSecond title for 2"]  # an empty row is skipped; a repeat wins
+        titles.write_text("\n".join(rows) + "\n")
+        dest = tmp_path / "explain.md"
+        assert main(["explain", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                     "--user", "u0", "--titles", str(titles), "-o", str(dest)]) == 0
+        text = dest.read_text()
+        assert "| Second title for 2 |" in text and "Title 2 " not in text
+        assert "| Four\twith a tab |" in text
+        for j in (0, 1, 5, 11):
+            assert f"| Title {j} |" in text
 
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_explain_nonpositive_top(self, trained, capsys, top):

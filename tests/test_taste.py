@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_interactions, two_taste_corpus
 from personacf.corpus import split_leave_one_out
@@ -45,7 +47,7 @@ class TestKMeans:
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(1)
         points = rng.normal(size=(200, 5))
-        _, _, objectives = kmeans(points, 8, rng, n_init=1)
+        _, _, objectives = kmeans(points, 8, rng)
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
     def test_k_capped_at_distinct_points(self):
@@ -53,6 +55,96 @@ class TestKMeans:
         centroids, labels, _ = kmeans(points, 5, np.random.default_rng(0))
         assert len(centroids) == 2
         assert labels[0] == labels[2] != labels[1]
+
+
+def old_kmeans(points, k, rng, n_init=3, max_iter=300, tol=1e-6):
+    """Straight-line copy of the k-means this module replaced: point norms
+    and the distance expansion recomputed every Lloyd iteration, the
+    objective read through the labels."""
+    points = np.asarray(points, dtype=float)
+    distinct = np.unique(points, axis=0)
+    k = min(k, len(distinct))
+    if k == len(distinct):
+        d2 = (
+            np.square(points).sum(axis=1)[:, None]
+            - 2.0 * points @ distinct.T
+            + np.square(distinct).sum(axis=1)[None, :]
+        )
+        return distinct, d2.argmin(axis=1), [0.0]
+    best = None
+    for _ in range(n_init):
+        n = len(points)
+        centroids = np.empty((k, points.shape[1]))
+        centroids[0] = points[rng.integers(n)]
+        d2 = np.square(points - centroids[0]).sum(axis=1)
+        for c in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centroids[c] = points[rng.integers(n)]
+                continue
+            centroids[c] = points[np.searchsorted(np.cumsum(d2 / total), rng.random())]
+            d2 = np.minimum(d2, np.square(points - centroids[c]).sum(axis=1))
+        objectives = []
+        for _ in range(max_iter):
+            d2 = (
+                np.square(points).sum(axis=1)[:, None]
+                - 2.0 * points @ centroids.T
+                + np.square(centroids).sum(axis=1)[None, :]
+            )
+            labels = d2.argmin(axis=1)
+            objectives.append(float(d2[np.arange(len(points)), labels].sum()))
+            new = centroids.copy()
+            shift = 0.0
+            for c in range(len(centroids)):
+                members = points[labels == c]
+                if len(members):
+                    new[c] = members.mean(axis=0)
+                    shift = max(shift, float(np.abs(new[c] - centroids[c]).max()))
+            centroids = new
+            if shift < tol:
+                break
+        if best is None or objectives[-1] < best[2][-1]:
+            best = (centroids, labels, objectives)
+    return best
+
+
+# exact distance ties come from small integers; -0.0 and 0.0 compare equal
+coordinate = (
+    st.integers(-3, 3).map(float)
+    | st.sampled_from([0.0, -0.0])
+    | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+)
+
+
+class TestKMeansMatchesOldCode:
+    @staticmethod
+    def assert_matches_old(points, k, seed):
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # a second call on the same generator, as AISP makes
+            got, want = kmeans(points, k, new_rng), old_kmeans(points, k, old_rng)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tolist() == want[1].tolist()
+            assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_bytes_and_generator_state(self, data):
+        p = data.draw(st.integers(1, 4))
+        row = st.lists(coordinate, min_size=p, max_size=p)
+        pool = data.draw(st.lists(row, min_size=1, max_size=12))  # one row: all points equal
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        points = np.array([pool[i] for i in picks])  # repeated picks: duplicate rows
+        k = data.draw(st.integers(1, 3) | st.integers(1, len(points) + 2))
+        self.assert_matches_old(points, k, data.draw(st.integers(0, 2**32 - 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(10, 150), p=st.integers(1, 5), k=st.integers(2, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_on_gaussian_points(self, n, p, k, seed):
+        # one overlapping cloud: Lloyd runs many iterations down to small shifts
+        points = np.random.default_rng(seed).normal(size=(n, p))
+        self.assert_matches_old(points, k, seed)
 
 
 class TestBuildTasteSpace:

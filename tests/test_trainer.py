@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from conftest import loss_and_grads, sgd_step, two_cluster_corpus
 from personacf import trainer
 from personacf.corpus import split_leave_one_out
-from personacf.model import ModelConfig, attend, init_model, model_scorer
+from personacf.model import ModelConfig, attend, init_model, model_scorer, softmax
 from personacf.ranking import RankingProtocol, evaluate
 from personacf.trainer import (
+    ENTROPY_CLAMP,
     Adam,
     LossConfig,
+    TrainingDiverged,
     _forward_backward,
     _row_gradients,
     _zero_touched_rows,
@@ -208,6 +211,82 @@ class TestBatchedPathMatchesReference:
         scores = [attend(m, u, row).scores for u, row in zip(users, items)]
         want = np.mean([np.logaddexp.reduce(s) - s[0] for s in scores])
         assert out.data_loss == pytest.approx(want, abs=1e-10)
+
+
+def old_forward_backward(model, users, items, cfg, scale, row_grads):
+    """Straight-line copy of the loss this module replaced: the candidate
+    softmax and the data loss each take their own max/exp/sum, and the
+    clamped log of the attention weights is taken twice."""
+    B, C = items.shape
+    a, lp, ln_ = cfg.alpha, cfg.lambda_pos, cfg.lambda_neg
+    Au, Av = model.attn_user_map, model.attn_item_map
+    Ub = model.personas[users]
+    Vb = model.item_vectors[items]
+    psi = Ub @ Au
+    phi = Vb @ Av.T
+    logits = np.einsum("bke,bce->bkc", psi, phi)
+    W = softmax(logits, axis=1)
+    X = np.einsum("bkc,bkd->bcd", W, Ub)
+    y = np.einsum("bcd,bcd->bc", X, Vb) + model.item_bias[items]
+    p = softmax(y, axis=1)
+    shifted = y - y.max(axis=1, keepdims=True)
+    data_loss = -y[:, 0] + y.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
+    ent = -W * np.log(np.maximum(W, ENTROPY_CLAMP))
+    pos_entropy = ent[:, :, 0].sum(axis=1)
+    neg_entropy = ent[:, :, 1:].sum(axis=(1, 2))
+    entropy_loss = lp * pos_entropy - ln_ * neg_entropy
+    total = a * data_loss + (1.0 - a) * entropy_loss
+    if not np.all(np.isfinite(total)):
+        raise TrainingDiverged("non-finite loss in batch")
+    breakdown = (data_loss.mean(), pos_entropy.mean(), neg_entropy.mean(),
+                 entropy_loss.mean(), total.mean())
+    gy = a * p
+    gy[:, 0] -= a
+    gX = gy[:, :, None] * Vb
+    gV = gy[:, :, None] * X
+    gW = np.einsum("bcd,bkd->bkc", gX, Ub)
+    log_w = np.log(np.maximum(W, ENTROPY_CLAMP))
+    gW[:, :, 0] += (1.0 - a) * lp * (-(log_w[:, :, 0] + 1.0))
+    gW[:, :, 1:] += (1.0 - a) * ln_ * (log_w[:, :, 1:] + 1.0)
+    gS = W * (gW - (W * gW).sum(axis=1, keepdims=True))
+    gpsi = np.einsum("bkc,bce->bke", gS, phi)
+    gphi = np.einsum("bkc,bke->bce", gS, psi)
+    gU = np.einsum("bkc,bcd->bkd", W, gX) + gpsi @ Au.T
+    gV += gphi @ Av
+    gAu = scale * np.einsum("bkd,bke->de", Ub, gpsi)
+    gAv = scale * np.einsum("bce,bcd->ed", gphi, Vb)
+    np.add.at(row_grads["personas"], users, scale * gU)
+    np.add.at(row_grads["item_vectors"], items.ravel(), scale * gV.reshape(B * C, -1))
+    np.add.at(row_grads["item_bias"], items.ravel(), scale * gy.ravel())
+    return breakdown, {**row_grads, "attn_user_map": gAu, "attn_item_map": gAv}
+
+
+class TestForwardBackwardMatchesOldCode:
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0), lambda_pos=st.floats(0.0, 3.0),
+           lambda_neg=st.floats(0.0, 3.0), spread=st.sampled_from([0.1, 1.0, 8.0]),
+           **batch_shapes)
+    def test_same_bytes(self, alpha, lambda_pos, lambda_neg, spread, B, C, r, d, da, seed):
+        # spread 8 drives attention weights to exactly 0 and 1, under the clamp
+        m, users, items = random_batch(B, C, r, d, da, seed)
+        for block in m.parameter_blocks().values():
+            block *= spread
+        cfg = LossConfig(alpha=alpha, lambda_pos=lambda_pos, lambda_neg=lambda_neg)
+
+        def run(fn):
+            try:
+                return fn(m, users, items, cfg, 1.0 / B, _row_gradients(m))
+            except TrainingDiverged:
+                return None
+
+        got, want = run(_forward_backward), run(old_forward_backward)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        assert np.array(astuple(got[0])).tobytes() == np.array(want[0]).tobytes()
+        assert got[1].keys() == want[1].keys()
+        for name in want[1]:
+            assert got[1][name].tobytes() == want[1][name].tobytes(), name
 
 
 class TestAdam:
