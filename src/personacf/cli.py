@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import aisp as aisp_mod
 from . import taste as taste_mod
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusError, RatingFormat, load_ratings, split_leave_one_out
+from .corpus import CorpusError, load_ratings, split_leave_one_out
 from .explain import explain_user, render_markdown
 from .model import (
     CheckpointError,
@@ -37,42 +37,42 @@ from .trainer import TrainingDiverged, train
 def _load_split(cfg: RunConfig):
     if not cfg.dataset.path:
         raise ConfigError("dataset.path is not set")
-    fmt = RatingFormat(
-        delimiter=cfg.dataset.delimiter,
-        columns=tuple(cfg.dataset.columns),
-        header=cfg.dataset.header,
-    )
-    data = load_ratings(cfg.dataset.path, fmt, min_rating=cfg.dataset.min_rating)
-    return data, split_leave_one_out(data)
+    data = load_ratings(cfg.dataset.path, cfg.dataset, min_rating=cfg.dataset.min_rating)
+    return split_leave_one_out(data)
 
 
-def _header_lines(cfg: RunConfig) -> list[str]:
+def _write_tsv(path: Path, cfg: RunConfig, columns: dict, rows, summary: dict, skipped) -> None:
+    """Write the config hash and seed (and a timestamp outside deterministic
+    mode), the column names, one line per row with each value in its
+    column's format spec, a ``# key`` line per summary value, and the
+    skipped users if there are any."""
     lines = [f"# config_hash\t{cfg.hash()}", f"# seed\t{cfg.seed}"]
     if not cfg.deterministic:
         lines.append(f"# timestamp\t{time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    return lines
-
-
-def _write_ranking_report(path: Path, cfg: RunConfig, report) -> None:
-    lines = _header_lines(cfg)
-    lines.append("user\trank")
-    lines += [f"{u}\t{r}" for u, r in report.per_user]
-    lines.append(f"# hr@{report.cutoff}\t{report.hr_at_k:.6f}")
-    lines.append(f"# ndcg@{report.cutoff}\t{report.ndcg_at_k:.6f}")
-    if report.skipped:
-        lines.append(f"# skipped_users\t{','.join(map(str, report.skipped))}")
+    lines.append("\t".join(columns))
+    lines += ["\t".join(map(format, row, columns.values())) for row in rows]
+    lines += [f"# {key}\t{value}" for key, value in summary.items()]
+    if skipped:
+        lines.append(f"# skipped_users\t{','.join(map(str, skipped))}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_tdd_report(path: Path, cfg: RunConfig, report) -> None:
-    lines = _header_lines(cfg)
-    lines.append("user\tjs\thellinger")
-    lines += [f"{u}\t{js:.8f}\t{hel:.8f}" for u, js, hel in report.per_user]
-    lines.append(f"# mean_js\t{report.mean_js:.8f}")
-    lines.append(f"# mean_hellinger\t{report.mean_hellinger:.8f}")
-    if report.skipped:
-        lines.append(f"# skipped_users\t{','.join(map(str, report.skipped))}")
-    path.write_text("\n".join(lines) + "\n")
+def _ranking_report(cfg: RunConfig, scorer, split, path: Path):
+    """Leave-one-out ranking of ``scorer``, written to ``path``."""
+    report = evaluate(scorer, split.test, split.full, cfg.eval, np.random.default_rng(cfg.seed))
+    k = report.cutoff
+    summary = {f"hr@{k}": f"{report.hr_at_k:.6f}", f"ndcg@{k}": f"{report.ndcg_at_k:.6f}"}
+    _write_tsv(path, cfg, {"user": "", "rank": ""}, report.per_user, summary, report.skipped)
+    return report
+
+
+def _tdd_report(cfg: RunConfig, scorer, split, space, path: Path):
+    """Taste-distribution distances of ``scorer``'s lists, written to ``path``."""
+    report = taste_mod.tdd_report(scorer, split, space, list_size=cfg.taste.list_size)
+    columns = {"user": "", "js": ".8f", "hellinger": ".8f"}
+    summary = {"mean_js": f"{report.mean_js:.8f}", "mean_hellinger": f"{report.mean_hellinger:.8f}"}
+    _write_tsv(path, cfg, columns, report.per_user, summary, report.skipped)
+    return report
 
 
 def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
@@ -114,8 +114,9 @@ def _output_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_train(cfg: RunConfig, args, data, split, model) -> int:
+def cmd_train(cfg: RunConfig, args, split, model) -> int:
     out = _output_dir(cfg)
+    data = split.full
     rng = np.random.default_rng(cfg.seed)
     model = init_model(
         ModelConfig(data.num_users, data.num_items, **asdict(cfg.model), seed=cfg.seed), rng
@@ -128,15 +129,9 @@ def cmd_train(cfg: RunConfig, args, data, split, model) -> int:
         )
 
     best, history = train(split, model, cfg.loss, rng, cfg.eval, log=log)
-    lines = _header_lines(cfg)
-    lines.append("epoch\tdata_loss\tpos_entropy\tneg_entropy\ttotal_loss\tval_hr\tval_ndcg")
-    for rec in history:
-        lines.append(
-            f"{rec.epoch}\t{rec.data_loss:.8f}\t{rec.pos_entropy:.8f}\t"
-            f"{rec.neg_entropy:.8f}\t{rec.total_loss:.8f}\t"
-            f"{rec.val_hr:.6f}\t{rec.val_ndcg:.6f}"
-        )
-    (out / "history.tsv").write_text("\n".join(lines) + "\n")
+    columns = {"epoch": "", "data_loss": ".8f", "pos_entropy": ".8f", "neg_entropy": ".8f",
+               "total_loss": ".8f", "val_hr": ".6f", "val_ndcg": ".6f"}  # EpochRecord's fields
+    _write_tsv(out / "history.tsv", cfg, columns, map(astuple, history), {}, ())
     ckpt_path = out / "checkpoint.npz"
     save_checkpoint(
         ckpt_path,
@@ -149,8 +144,9 @@ def cmd_train(cfg: RunConfig, args, data, split, model) -> int:
     return 0
 
 
-def _load_model_checked(path, data):
+def _load_model_checked(path, split):
     model, _ = load_checkpoint(path)
+    data = split.full
     if (
         model.config.num_users != data.num_users
         or model.config.num_items != data.num_items
@@ -163,40 +159,32 @@ def _load_model_checked(path, data):
     return model
 
 
-def cmd_eval(cfg: RunConfig, args, data, split, model) -> int:
-    report = evaluate(
-        model_scorer(model), split.test, data, cfg.eval, np.random.default_rng(cfg.seed)
-    )
+def cmd_eval(cfg: RunConfig, args, split, model) -> int:
     path = _output_dir(cfg) / "ranking_report.tsv"
-    _write_ranking_report(path, cfg, report)
+    report = _ranking_report(cfg, model_scorer(model), split, path)
     print(f"hr@{report.cutoff} {report.hr_at_k:.4f}  ndcg@{report.cutoff} {report.ndcg_at_k:.4f}")
     print(f"report written to {path}")
     return 0
 
 
-def cmd_tdd(cfg: RunConfig, args, data, split, model) -> int:
+def cmd_tdd(cfg: RunConfig, args, split, model) -> int:
     out = _output_dir(cfg)
     space = _taste_space_for(cfg, split, out, args.taste_space)
-    report = taste_mod.tdd_report(
-        model_scorer(model), split, space, list_size=cfg.taste.list_size
-    )
     path = out / "tdd_report.tsv"
-    _write_tdd_report(path, cfg, report)
+    report = _tdd_report(cfg, model_scorer(model), split, space, path)
     print(f"mean js {report.mean_js:.4f}  mean hellinger {report.mean_hellinger:.4f}")
     print(f"report written to {path}")
     return 0
 
 
-def cmd_aisp(cfg: RunConfig, args, data, split, model) -> int:
+def cmd_aisp(cfg: RunConfig, args, split, model) -> int:
     out = _output_dir(cfg)
     space = _taste_space_for(cfg, split, out, args.taste_space)
     rng = np.random.default_rng(cfg.seed)
     baseline = aisp_mod.build_aisp(split.train, space, cfg.aisp.personas, rng)
     scorer = aisp_mod.aisp_scorer(baseline)
-    ranking = evaluate(scorer, split.test, data, cfg.eval, np.random.default_rng(cfg.seed))
-    _write_ranking_report(out / "aisp_ranking_report.tsv", cfg, ranking)
-    tdd = taste_mod.tdd_report(scorer, split, space, list_size=cfg.taste.list_size)
-    _write_tdd_report(out / "aisp_tdd_report.tsv", cfg, tdd)
+    ranking = _ranking_report(cfg, scorer, split, out / "aisp_ranking_report.tsv")
+    tdd = _tdd_report(cfg, scorer, split, space, out / "aisp_tdd_report.tsv")
     print(
         f"aisp-{cfg.aisp.personas}: hr@{ranking.cutoff} {ranking.hr_at_k:.4f}  "
         f"ndcg@{ranking.cutoff} {ranking.ndcg_at_k:.4f}  "
@@ -205,7 +193,8 @@ def cmd_aisp(cfg: RunConfig, args, data, split, model) -> int:
     return 0
 
 
-def cmd_explain(cfg: RunConfig, args, data, split, model) -> int:
+def cmd_explain(cfg: RunConfig, args, split, model) -> int:
+    data = split.full
     if args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
     if args.user not in data.user_index:
@@ -275,10 +264,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        data, split = _load_split(cfg)
-        model = _load_model_checked(args.checkpoint, data) if "checkpoint" in args else None
-        return args.fn(cfg, args, data, split, model)
-    except (CheckpointError, ConfigError, CorpusError, FileNotFoundError, TasteSpaceError) as exc:
+        split = _load_split(cfg)
+        model = _load_model_checked(args.checkpoint, split) if "checkpoint" in args else None
+        return args.fn(cfg, args, split, model)
+    except (CheckpointError, ConfigError, CorpusError, TasteSpaceError,
+            FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDiverged, OSError, ValueError) as exc:

@@ -18,6 +18,7 @@ from typing import get_args, get_type_hints
 
 import yaml
 
+from .corpus import RatingFormat
 from .ranking import RankingProtocol
 from .trainer import LossConfig
 
@@ -64,12 +65,9 @@ def _require_positive(section, names: tuple[str, ...]) -> None:
         raise ValueError(f"{', '.join(small)} must be >= 1")
 
 
-@dataclass
-class DatasetConfig:
+@dataclass(frozen=True)
+class DatasetConfig(RatingFormat):  # so the format is checked as the config loads
     path: str = ""
-    delimiter: str = "\t"
-    columns: list[str] = field(default_factory=lambda: ["user", "item", "rating", "timestamp"])
-    header: bool = False
     min_rating: float | None = None
 
 
@@ -128,6 +126,9 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config({} if raw is None else raw)  # an empty file is all defaults

@@ -34,6 +34,7 @@ class RatingFormat:
     header: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))  # e.g. a YAML list
         if not self.delimiter:
             raise CorpusError("the delimiter must not be empty")
         if len(set(self.columns)) != len(self.columns):
@@ -129,29 +130,32 @@ def load_ratings(
     """
     col_pos = {name: i for i, name in enumerate(fmt.columns)}
     raw: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 and fmt.header:
-                continue
-            line = line.rstrip("\n\r")
-            if not line:
-                continue
-            parts = line.split(fmt.delimiter)
-            if len(parts) < len(fmt.columns):
-                raise CorpusError(
-                    f"{path}: line {line_no}: expected {len(fmt.columns)} "
-                    f"{fmt.delimiter!r}-separated fields, got {len(parts)}"
-                )
-            try:
-                user = parts[col_pos["user"]]
-                item = parts[col_pos["item"]]
-                rating = float(parts[col_pos["rating"]])
-                ts = float(parts[col_pos["timestamp"]]) if fmt.has_timestamp else 0.0
-            except ValueError as exc:
-                raise CorpusError(f"{path}: line {line_no}: {exc}") from None
-            if min_rating is not None and rating < min_rating:
-                continue
-            raw.setdefault(user, []).append((item, ts))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line_no == 1 and fmt.header:
+                    continue
+                line = line.rstrip("\n\r")
+                if not line:
+                    continue
+                parts = line.split(fmt.delimiter)
+                if len(parts) < len(fmt.columns):
+                    raise CorpusError(
+                        f"{path}: line {line_no}: expected {len(fmt.columns)} "
+                        f"{fmt.delimiter!r}-separated fields, got {len(parts)}"
+                    )
+                try:
+                    user = parts[col_pos["user"]]
+                    item = parts[col_pos["item"]]
+                    rating = float(parts[col_pos["rating"]])
+                    ts = float(parts[col_pos["timestamp"]]) if fmt.has_timestamp else 0.0
+                except ValueError as exc:
+                    raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+                if min_rating is not None and rating < min_rating:
+                    continue
+                raw.setdefault(user, []).append((item, ts))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
     # stable sort by timestamp keeps file order among ties; dict.fromkeys
     # keeps each item's first occurrence, in order

@@ -262,6 +262,7 @@ def train(
     protocol = protocol or RankingProtocol()
     table = build_sampling_table(split.train)
     _check_negatives_drawable(split.train, table.probabilities)
+    # sets, not a dense mask: train-dense pass_s 4.62 -> 5.60 s (seed 1, 6 alternating 10 s pairs)
     train_sets = [set(row.tolist()) for row in split.train.per_user_items]
     events = np.column_stack([split.train.event_users(), split.train.indices])
 

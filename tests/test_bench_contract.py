@@ -60,6 +60,36 @@ def test_traced_layers_record_spans(perfbench, tmp_path, ratings_file):  # noqa:
     assert tracer.counts["kmeans.lloyd_iters"] > 0
 
 
+def test_reports_read_as_the_bench_reads_them(perfbench, tmp_path, ratings_file):  # noqa: F811
+    """Every TSV the CLI writes splits, through the benchmark's own reader,
+    into the column line and summary keys its checks look up, and passes
+    those checks."""
+    import checks
+
+    from personacf import load_ratings, split_leave_one_out
+
+    out = tmp_path / "out"
+    cfg = str(write_config(tmp_path, ratings_file, out, eval={"num_sampled_negatives": 4}))
+    ckpt = str(out / "checkpoint.npz")
+    for argv in (["train"], ["eval", "--checkpoint", ckpt], ["tdd", "--checkpoint", ckpt],
+                 ["aisp"]):
+        assert main([argv[0], "-c", cfg, *argv[1:]]) == 0
+    split = split_leave_one_out(load_ratings(ratings_file))
+    ranking = (["user", "rank"], {"hr@10", "ndcg@10"})
+    tdd = (["user", "js", "hellinger"], {"mean_js", "mean_hellinger"})
+    expected = {"ranking_report.tsv": ranking, "aisp_ranking_report.tsv": ranking,
+                "tdd_report.tsv": tdd, "aisp_tdd_report.tsv": tdd}
+    for name, (columns, keys) in expected.items():
+        read_columns, _, summary = checks.read_report(out / name)
+        assert read_columns == columns and keys <= set(summary), name
+    for name in ("ranking_report.tsv", "aisp_ranking_report.tsv"):
+        assert checks.check_ranking(out / name, split, 5)[0] == []
+    for name in ("tdd_report.tsv", "aisp_tdd_report.tsv"):
+        assert checks.check_tdd(out / name, split)[0] == []
+    assert checks.read_report(out / "history.tsv")[0][0] == "epoch"
+    assert checks.check_history(out / "history.tsv", 2) == []
+
+
 def test_imported_names_exist():
     missing = []
     for path in sorted(PERFBENCH.glob("*.py")):

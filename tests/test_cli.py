@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import yaml
 
 import personacf
 from personacf.cli import main
+from personacf.config import load_config
 from personacf.taste import load_taste_space, save_taste_space
 
 
@@ -192,7 +194,37 @@ class TestErrors:
         cfg = write_config(tmp_path, ratings_file, tmp_path / "o",
                            dataset={"path": str(ratings_file), **dataset})
         assert main(["train", "-c", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: dataset: {message}")
+
+    @pytest.mark.parametrize("text", [b"seed: [1, 2\n", b"seed: 1\n# caf\xe9\n"],
+                             ids=["unclosed-bracket", "not-utf-8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(text)
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    def test_ratings_not_utf8_is_a_corpus_error(self, tmp_path, ratings_file, capsys):
+        ratings_file.write_bytes(ratings_file.read_bytes() + b"u0\tcaf\xe9\t5\t1\n")
+        cfg = write_config(tmp_path, ratings_file, tmp_path / "o")
+        assert main(["train", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ratings_file}: 'utf-8' codec ")
+
+    @pytest.mark.parametrize("given", ["config", "dataset", "checkpoint", "taste-space"])
+    def test_directory_for_a_file_is_an_error(self, tmp_path, ratings_file, capsys, given):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        dataset = {"path": str(folder if given == "dataset" else ratings_file)}
+        cfg = str(write_config(tmp_path, ratings_file, tmp_path / "o", dataset=dataset))
+        argv = {
+            "config": ["train", "-c", str(folder)],
+            "dataset": ["train", "-c", cfg],
+            "checkpoint": ["eval", "-c", cfg, "--checkpoint", str(folder)],
+            "taste-space": ["aisp", "-c", cfg, "--taste-space", str(folder)],
+        }[given]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
 
     @pytest.mark.parametrize("kind", UNREADABLE_NPZ)
     def test_unreadable_checkpoint(self, tmp_path, ratings_file, capsys, kind):
@@ -354,6 +386,27 @@ class TestPipeline:
         np.savez(dest, **blocks)
         if kind != "no-meta":
             write_unreadable_npz(dest, kind)
+
+    def test_timestamp_only_outside_deterministic_mode(self, tmp_path, ratings_file):
+        """``deterministic: false`` adds one ``# timestamp`` line after
+        ``# seed`` to each report and changes nothing else but the hash."""
+        out = tmp_path / "run"
+        ckpt = str(out / "checkpoint.npz")
+        reports = {}
+        for deterministic in (True, False):
+            cfg = write_config(tmp_path, ratings_file, out, deterministic=deterministic)
+            for argv in (["train"], ["eval", "--checkpoint", ckpt], ["tdd", "--checkpoint", ckpt]):
+                assert main([argv[0], "-c", str(cfg), *argv[1:]]) == 0
+            names = ("history.tsv", "ranking_report.tsv", "tdd_report.tsv")
+            reports[deterministic] = {name: (out / name).read_text() for name in names}
+            config_hash = load_config(cfg).hash()
+            assert all(text.startswith(f"# config_hash\t{config_hash}\n# seed\t0\n")
+                       for text in reports[deterministic].values())
+        for name, text in reports[False].items():
+            lines = text.splitlines(keepends=True)
+            assert [line.startswith("# timestamp\t") for line in lines].count(True) == 1
+            assert re.fullmatch(r"# timestamp\t\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\n", lines[2])
+            assert "".join(lines[1:2] + lines[3:]) == reports[True][name].split("\n", 1)[1]
 
     def test_aisp(self, trained):
         cfg, out = trained

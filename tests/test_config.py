@@ -83,6 +83,14 @@ class TestHash:
         # report headers of earlier runs carry this hash
         assert RunConfig().hash() == "fc2cd7b6e8bb4878"
 
+    def test_dataset_hash_pinned(self):
+        # report headers carry the hash; every dataset key is off its default
+        cfg = parse_config({"dataset": {
+            "path": "data/ratings.csv", "delimiter": ",",
+            "columns": ["item", "user", "timestamp", "rating"], "header": True, "min_rating": 3.5,
+        }})
+        assert cfg.hash() == "ee1b74ba669f77e7"
+
     def test_sixteen_hex_chars(self):
         h = RunConfig().hash()
         assert len(h) == 16
