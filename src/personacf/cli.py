@@ -110,7 +110,10 @@ def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
 
 def _output_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # it, or a parent, is a file
+        raise ConfigError(f"output_dir {out} is not a directory") from None
     return out
 
 

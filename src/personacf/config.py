@@ -27,13 +27,14 @@ class ConfigError(ValueError):
     pass
 
 
-_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float)}
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _check_types(cls, raw: dict, context: str) -> None:
-    """Reject a value that does not fit its field's declared int, float or
-    bool type (optionally ``| None``); other field types go unchecked. A
-    float field accepts an int, and only a bool field accepts a bool."""
+    """Reject a value that does not fit its field's declared int, float,
+    bool or str type (optionally ``| None``); other field types go
+    unchecked. A float field accepts an int, and only a bool field accepts
+    a bool."""
     hints = get_type_hints(cls)
     for name, value in raw.items():
         hint, optional = hints[name], type(None) in get_args(hints[name])

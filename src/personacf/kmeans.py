@@ -55,10 +55,14 @@ def kmeans(
     number of distinct points."""
     points = np.asarray(points, dtype=float)
     sq_norms = np.square(points).sum(axis=1)
-    distinct = np.unique(points, axis=0)
-    k = min(k, len(distinct))
-    if k == len(distinct):  # exact solution: one centroid per distinct point
-        return distinct, _sq_dists(points, sq_norms, distinct).argmin(axis=1), [0.0]
+    # Equal rows have equal sums (NaN sums collapse, -0.0 == 0.0), so more
+    # than k distinct row sums prove more than k distinct rows and the
+    # costlier row-wise unique is needed only otherwise.
+    if len(np.unique(points.sum(axis=1))) <= k:
+        distinct = np.unique(points, axis=0)
+        k = min(k, len(distinct))
+        if k == len(distinct):  # exact solution: one centroid per distinct point
+            return distinct, _sq_dists(points, sq_norms, distinct).argmin(axis=1), [0.0]
     # restarts run in order; min keeps the first of equal final objectives
     restarts = (_lloyd(points, sq_norms, _kmeans_pp_init(points, k, rng)) for _ in range(N_INIT))
     return min(restarts, key=lambda run: run[2][-1])

@@ -55,7 +55,8 @@ def test_traced_layers_record_spans(perfbench, tmp_path, ratings_file):  # noqa:
         tracer.uninstall()
     layer_names = {"corpus.load", "corpus.split", "model.init", "model.save", "model.load",
                    "trainer.train", "ranking.evaluate", "taste.space", "kmeans", "taste.tdd",
-                   "ranking.topk", "taste.distribution", "aisp.build", "aisp.score"}
+                   "ranking.topk", "taste.distribution", "aisp.build", "aisp.score",
+                   "model.score"}
     assert layer_names - {s[spans.NAME] for s in tracer.spans} == set()
     assert tracer.counts["kmeans.lloyd_iters"] > 0
 

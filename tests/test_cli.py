@@ -146,6 +146,8 @@ class TestErrors:
         ("model", "personas", "2.5"),
         ("config", "seed", "abc"),
         ("loss", "learning_rate", "1e-3"),  # YAML 1.1 reads this as a string
+        ("dataset", "delimiter", "5"),
+        ("config", "output_dir", "5"),
     ])
     def test_mistyped_value_is_a_config_error(self, tmp_path, ratings_file, capsys,
                                                section, key, text):
@@ -170,6 +172,17 @@ class TestErrors:
         )
         assert done.returncode == 1
         assert done.stderr.startswith("error: user 'a'")
+
+    def test_numeric_dataset_path_is_a_config_error(self, tmp_path, ratings_file):
+        # open(5) would read file descriptor 5, so this runs in its own process
+        cfg = write_config(tmp_path, ratings_file, tmp_path / "o", dataset={"path": 5})
+        env = {**os.environ, "PYTHONPATH": str(Path(personacf.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "personacf.cli", "train", "-c", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=60, stdin=subprocess.DEVNULL,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: dataset: path must be str, got int 5")
 
     def test_truncated_checkpoint_block(self, tmp_path, ratings_file, capsys):
         out = tmp_path / "run"
@@ -225,6 +238,23 @@ class TestErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "tdd"])
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_output_dir_that_is_a_file(self, tmp_path, ratings_file, capsys, command, where):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, ratings_file, out)
+        assert main(["train", "-c", str(cfg)]) == 0
+        ckpt = out / "checkpoint.npz"
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out_dir = taken if where == "file" else taken / "run"
+        cfg = write_config(tmp_path, ratings_file, out_dir)
+        argv = [command, "-c", str(cfg)] + ([] if command == "train" else ["--checkpoint", str(ckpt)])
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: output_dir {out_dir} is not a directory\n"
+        assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("kind", UNREADABLE_NPZ)
     def test_unreadable_checkpoint(self, tmp_path, ratings_file, capsys, kind):

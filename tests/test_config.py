@@ -58,6 +58,10 @@ class TestParse:
         ({"taste": {"center": 1}}, "taste: center must be bool"),
         ({"dataset": {"min_rating": "4"}}, "dataset: min_rating must be float"),
         ({"deterministic": "no"}, "config: deterministic must be bool"),
+        ({"dataset": {"delimiter": 5}}, "dataset: delimiter must be str"),
+        ({"dataset": {"path": 5}}, "dataset: path must be str"),
+        ({"eval": {"candidate_mode": None}}, "eval: candidate_mode must be str"),
+        ({"output_dir": 5}, "config: output_dir must be str"),
     ])
     def test_values_of_another_type_rejected(self, raw, message):
         with pytest.raises(ConfigError, match=f"^{message}, got "):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_interactions, two_taste_corpus
 from personacf.corpus import split_leave_one_out
-from personacf.kmeans import kmeans
+from personacf.kmeans import N_INIT, _kmeans_pp_init, _lloyd, _sq_dists, kmeans
 from personacf.taste import (
     TasteSpace,
     build_taste_space,
@@ -116,12 +116,25 @@ coordinate = (
 )
 
 
+def kmeans_unique_every_call(points, k, rng):
+    """Straight-line copy of ``kmeans`` as it was before the row-sum
+    pre-test: the row-wise unique ran on every call."""
+    points = np.asarray(points, dtype=float)
+    sq_norms = np.square(points).sum(axis=1)
+    distinct = np.unique(points, axis=0)
+    k = min(k, len(distinct))
+    if k == len(distinct):
+        return distinct, _sq_dists(points, sq_norms, distinct).argmin(axis=1), [0.0]
+    restarts = (_lloyd(points, sq_norms, _kmeans_pp_init(points, k, rng)) for _ in range(N_INIT))
+    return min(restarts, key=lambda run: run[2][-1])
+
+
 class TestKMeansMatchesOldCode:
     @staticmethod
-    def assert_matches_old(points, k, seed):
+    def assert_matches_old(points, k, seed, old=old_kmeans):
         new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):  # a second call on the same generator, as AISP makes
-            got, want = kmeans(points, k, new_rng), old_kmeans(points, k, old_rng)
+            got, want = kmeans(points, k, new_rng), old(points, k, old_rng)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tolist() == want[1].tolist()
             assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
@@ -145,6 +158,24 @@ class TestKMeansMatchesOldCode:
         # one overlapping cloud: Lloyd runs many iterations down to small shifts
         points = np.random.default_rng(seed).normal(size=(n, p))
         self.assert_matches_old(points, k, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_sum_pretest_changes_nothing(self, data):
+        # rows that are permutations of each other share a sum but are
+        # distinct; -0.0, NaN and infinities test how equal sums compare
+        p = data.draw(st.integers(1, 4))
+        base = data.draw(st.lists(coordinate | st.sampled_from([np.nan, np.inf, -np.inf]),
+                                  min_size=p, max_size=p))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = [rng.permutation(base).tolist() for _ in range(data.draw(st.integers(1, 6)))]
+        pool += data.draw(st.lists(st.lists(coordinate, min_size=p, max_size=p), max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        points = np.array([pool[i] for i in picks])  # repeated picks: duplicate rows
+        k = data.draw(st.integers(1, 3) | st.integers(1, len(points) + 2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.assert_matches_old(points, k, data.draw(st.integers(0, 2**32 - 1)),
+                                    old=kmeans_unique_every_call)
 
 
 class TestBuildTasteSpace:
