@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import Interactions
 from .kmeans import kmeans
-from .model import scores_catalogue, softmax
+from .model import pool_scores, softmax
 from .taste import TasteSpace
 
 
@@ -41,17 +41,16 @@ def build_aisp(
 def aisp_score_items(model: AispModel, user: int, candidates) -> np.ndarray:
     """Attentive scores for one user over candidate items: dot-product
     affinities in the raw PCA space, softmax over personas, weighted
-    persona mix dotted with the item vector. Pools are switched to the
-    catalogue's scores as in ``score_all_items``."""
-    candidates = np.asarray(candidates, dtype=np.intp)
-    catalogue = scores_catalogue(len(model.item_vectors), len(candidates))
-    P = model.user_personas[user]  # (p, dims)
-    V = model.item_vectors if catalogue else model.item_vectors[candidates]  # (m, dims)
-    logits = P @ V.T  # (p, m)
-    weights = softmax(logits, axis=0)
-    # score_j = sum_k w_kj * (P_k . v_j) = column sum of w * logits
-    scores = (weights * logits).sum(axis=0)
-    return scores[candidates] if catalogue else scores
+    persona mix dotted with the item vector (``pool_scores``)."""
+    def scores_over(items):
+        P = model.user_personas[user]  # (p, dims)
+        V = model.item_vectors if items is None else model.item_vectors[items]  # (m, dims)
+        logits = P @ V.T  # (p, m)
+        weights = softmax(logits, axis=0)
+        # score_j = sum_k w_kj * (P_k . v_j) = column sum of w * logits
+        return (weights * logits).sum(axis=0)
+
+    return pool_scores(scores_over, len(model.item_vectors), candidates)
 
 
 def aisp_scorer(model: AispModel):

@@ -37,7 +37,7 @@ from .trainer import TrainingDiverged, train
 def _load_split(cfg: RunConfig):
     if not cfg.dataset.path:
         raise ConfigError("dataset.path is not set")
-    data = load_ratings(cfg.dataset.path, cfg.dataset, min_rating=cfg.dataset.min_rating)
+    data = load_ratings(cfg.dataset.path, cfg.dataset)
     return split_leave_one_out(data)
 
 
@@ -76,9 +76,9 @@ def _tdd_report(cfg: RunConfig, scorer, split, space, path: Path):
 
 
 def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
-    """The persisted taste space if it reads and its shapes fit the corpus,
-    else a new one saved in its place. An unreadable or mismatched
-    ``--taste-space`` file is an error."""
+    """The persisted taste space if it reads, its shapes fit the corpus and
+    it has a cluster mean, else a new one saved in its place. An unreadable
+    or mismatched ``--taste-space`` file is an error."""
     cache_path = Path(cache) if cache else out_dir / "taste_space.npz"
     if cache_path.exists():
         try:
@@ -87,6 +87,7 @@ def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
             if (
                 vectors.ndim == means.ndim == 2
                 and vectors.shape[0] == split.train.num_items
+                and means.shape[0] >= 1
                 and means.shape[1] == vectors.shape[1]
             ):
                 return space
@@ -204,9 +205,12 @@ def cmd_explain(cfg: RunConfig, args, split, model) -> int:
         raise ConfigError(f"unknown user id {args.user!r}")
     titles = None
     if args.titles:  # "<item id><delimiter><title>" per line; a repeated id keeps its last title
-        with open(args.titles, encoding="utf-8") as fh:
-            rows = (line.rstrip("\n") for line in fh)
-            titles = dict(row.partition(args.titles_delimiter)[::2] for row in rows if row)
+        try:
+            with open(args.titles, encoding="utf-8") as fh:
+                rows = (line.rstrip("\n") for line in fh)
+                titles = dict(row.partition(args.titles_delimiter)[::2] for row in rows if row)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.titles}: {exc}") from None
     report = explain_user(model, data.user_index[args.user], split.train, args.top)
     text = render_markdown(report, item_ids=data.item_ids, titles=titles)
     if args.output:

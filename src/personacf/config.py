@@ -69,7 +69,6 @@ def _require_positive(section, names: tuple[str, ...]) -> None:
 @dataclass(frozen=True)
 class DatasetConfig(RatingFormat):  # so the format is checked as the config loads
     path: str = ""
-    min_rating: float | None = None
 
 
 @dataclass

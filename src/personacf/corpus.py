@@ -22,16 +22,18 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class RatingFormat:
-    """Column layout of a delimited rating file.
+    """Column layout of a delimited rating file, and which ratings count.
 
     ``columns`` names the fields in file order; "user", "item" and
     "rating" are required, "timestamp" is optional. Extra trailing
-    columns in the file are ignored.
+    columns in the file are ignored. Rows rated below ``min_rating`` are
+    dropped; None keeps every row.
     """
 
     delimiter: str = "\t"
     columns: tuple[str, ...] = ("user", "item", "rating", "timestamp")
     header: bool = False
+    min_rating: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))  # e.g. a YAML list
@@ -80,10 +82,6 @@ class Interactions:
         return {name: u for u, name in enumerate(self.user_ids)}
 
     @cached_property
-    def item_index(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.item_ids)}
-
-    @cached_property
     def per_user_items(self) -> list[np.ndarray]:
         """One view of ``indices`` per user."""
         return np.split(self.indices, self.indptr[1:-1]) if self.num_users else []
@@ -115,14 +113,10 @@ class SamplingTable:
         return np.searchsorted(self.cumulative, rng.random(size), side="right")
 
 
-def load_ratings(
-    path,
-    fmt: RatingFormat = RatingFormat(),
-    min_rating: float | None = None,
-) -> Interactions:
+def load_ratings(path, fmt: RatingFormat = RatingFormat()) -> Interactions:
     """Parse a rating file into Interactions.
 
-    All surviving ratings are treated as positives. Duplicate
+    Every rating that passes ``fmt.min_rating`` is a positive. Duplicate
     (user, item) pairs are collapsed to the first occurrence, users with
     fewer than two distinct items are dropped, and ids are remapped to
     dense indices in order of first appearance. Per-user item order is
@@ -151,7 +145,7 @@ def load_ratings(
                     ts = float(parts[col_pos["timestamp"]]) if fmt.has_timestamp else 0.0
                 except ValueError as exc:
                     raise CorpusError(f"{path}: line {line_no}: {exc}") from None
-                if min_rating is not None and rating < min_rating:
+                if fmt.min_rating is not None and rating < fmt.min_rating:
                     continue
                 raw.setdefault(user, []).append((item, ts))
     except UnicodeDecodeError as exc:

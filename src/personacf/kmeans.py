@@ -60,8 +60,7 @@ def kmeans(
     # costlier row-wise unique is needed only otherwise.
     if len(np.unique(points.sum(axis=1))) <= k:
         distinct = np.unique(points, axis=0)
-        k = min(k, len(distinct))
-        if k == len(distinct):  # exact solution: one centroid per distinct point
+        if len(distinct) <= k:  # exact solution: one centroid per distinct point
             return distinct, _sq_dists(points, sq_norms, distinct).argmin(axis=1), [0.0]
     # restarts run in order; min keeps the first of equal final objectives
     restarts = (_lloyd(points, sq_norms, _kmeans_pp_init(points, k, rng)) for _ in range(N_INIT))

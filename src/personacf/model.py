@@ -128,25 +128,26 @@ def attend(model: PersonaModel, user: int, items=None, projection=None) -> Atten
     return AttentionTrace(logits, weights, x, scores)
 
 
-def scores_catalogue(num_items: int, pool: int) -> bool:
-    """Whether a scorer reads a pool of ``pool`` items off one pass over the
-    whole catalogue instead of gathering the pool's rows: same bytes,
+def pool_scores(scores_over, num_items: int, candidates) -> np.ndarray:
+    """A scorer's scores over an array of candidate items. ``scores_over(items)``
+    scores an item array, or the whole catalogue when ``items`` is None.
+
+    A large pool is read off one pass over the whole catalogue: same bytes,
     without copying several MB of rows per call. A small pool keeps the
     gathered path, because a product over a few hundred rows may round
     entries differently in the last bit than the catalogue's product; pools
     from about 700 items up measured equal, so the switch leaves ~3x margin.
     """
-    return pool >= max(CATALOGUE_MIN, num_items // 2)
+    candidates = np.asarray(candidates, dtype=np.intp)
+    if len(candidates) >= max(CATALOGUE_MIN, num_items // 2):
+        return scores_over(None)[candidates]
+    return scores_over(candidates)
 
 
 def score_all_items(model: PersonaModel, user: int, candidates, projection=None) -> np.ndarray:
-    """Scores for one user over an array of candidate items, from the
-    catalogue pass where ``scores_catalogue`` says so, else from the
-    candidates' own rows."""
-    candidates = np.asarray(candidates, dtype=np.intp)
-    if scores_catalogue(model.config.num_items, len(candidates)):
-        return attend(model, user, None, projection).scores[candidates]
-    return attend(model, user, candidates, projection).scores
+    """Scores for one user over an array of candidate items (``pool_scores``)."""
+    return pool_scores(lambda items: attend(model, user, items, projection).scores,
+                       model.config.num_items, candidates)
 
 
 def model_scorer(model: PersonaModel, projection=None):

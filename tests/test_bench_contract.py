@@ -64,18 +64,34 @@ def test_traced_layers_record_spans(perfbench, tmp_path, ratings_file):  # noqa:
 def test_reports_read_as_the_bench_reads_them(perfbench, tmp_path, ratings_file):  # noqa: F811
     """Every TSV the CLI writes splits, through the benchmark's own reader,
     into the column line and summary keys its checks look up, and passes
-    those checks."""
+    those checks, including the ones that recompute ranks, distances and
+    explanations through the public API and unpack what it returns."""
     import checks
 
-    from personacf import load_ratings, split_leave_one_out
+    from personacf import load_checkpoint, load_ratings, split_leave_one_out
 
-    out = tmp_path / "out"
+    out, out_all = tmp_path / "out", tmp_path / "all" / "out"
+    out_all.parent.mkdir()
     cfg = str(write_config(tmp_path, ratings_file, out, eval={"num_sampled_negatives": 4}))
+    cfg_all = str(write_config(out_all.parent, ratings_file, out_all,
+                               eval={"candidate_mode": "all-items"}))
     ckpt = str(out / "checkpoint.npz")
     for argv in (["train"], ["eval", "--checkpoint", ckpt], ["tdd", "--checkpoint", ckpt],
-                 ["aisp"]):
+                 ["aisp"], ["explain", "--checkpoint", ckpt, "--user", "u0", "--top", "4",
+                            "-o", str(out / "explain.md")]):
         assert main([argv[0], "-c", cfg, *argv[1:]]) == 0
+    assert main(["eval", "-c", cfg_all, "--checkpoint", ckpt]) == 0
     split = split_leave_one_out(load_ratings(ratings_file))
+    data, users = split.full, sorted(split.test)
+    model, _ = load_checkpoint(ckpt)
+    errors, all_ranks = checks.check_ranking(out_all / "ranking_report.tsv", split, None)
+    assert errors == []
+    assert checks.check_all_items_ranks(all_ranks, data, split, model, users) == []
+    errors, values = checks.check_tdd(out / "tdd_report.tsv", split)
+    assert errors == []
+    assert checks.check_tdd_users(values, split, model, out / "taste_space.npz", users,
+                                  list_size=4) == []
+    assert checks.check_explain(out / "explain.md", data, split, data.user_index["u0"], 4) == []
     ranking = (["user", "rank"], {"hr@10", "ndcg@10"})
     tdd = (["user", "js", "hellinger"], {"mean_js", "mean_hellinger"})
     expected = {"ranking_report.tsv": ranking, "aisp_ranking_report.tsv": ranking,

@@ -2,7 +2,7 @@
 bytes as a pass over the pool's own gathered rows.
 
 ``score_all_items`` and ``aisp_score_items`` switch to the catalogue pass
-where ``scores_catalogue`` says so. The checks below pin both scorers to
+where ``pool_scores`` says so. The checks below pin both scorers to
 straight-line copies of the gathered path, on every user's top-k and
 all-items pool of a seeded corpus and on a random pool of every size from
 the switch point to the whole catalogue. Each check runs in this process,
@@ -25,14 +25,31 @@ from personacf.model import (
     ModelConfig,
     init_model,
     item_projection,
+    pool_scores,
     score_all_items,
-    scores_catalogue,
     softmax,
 )
 from personacf.ranking import unconsumed
 
 NUM_ITEMS = 4096  # the switch is at max(CATALOGUE_MIN, NUM_ITEMS // 2) = 2048 items
 PCA_DIMS = 100  # the default taste.pca_dims that AISP scores in
+
+
+def takes_catalogue(num_items: int, pool: int) -> bool:
+    """Whether ``pool_scores`` serves a pool of ``pool`` items off the
+    catalogue pass: a recording ``scores_over`` notes whether it got None,
+    and either path must return each candidate's own score."""
+    calls = []
+
+    def scores_over(items):
+        calls.append(items is None)
+        catalogue = np.arange(num_items, dtype=float)
+        return catalogue if items is None else catalogue[items]
+
+    candidates = np.arange(pool)[::-1] % num_items
+    assert pool_scores(scores_over, num_items, candidates).tolist() == candidates.tolist()
+    assert len(calls) == 1
+    return calls[0]
 
 
 def gathered_scores(m, user, items, projection):
@@ -101,7 +118,7 @@ def user_pool_mismatches(seed: int) -> list[str]:
         top_k_pool = unconsumed(NUM_ITEMS, split.train.per_user_items[u])
         eval_pool = np.concatenate([[target], unconsumed(NUM_ITEMS, split.full.per_user_items[u])])
         for items in (top_k_pool, eval_pool):
-            assert scores_catalogue(NUM_ITEMS, len(items))  # the pool takes the switch
+            assert takes_catalogue(NUM_ITEMS, len(items))  # the pool takes the switch
             found += mismatches(m, baseline, u, items, projection, own_projection=True)
     return found
 
@@ -113,7 +130,7 @@ def pool_size_mismatches(seed: int) -> list[str]:
     m, baseline = models(seed, 3)
     projection = item_projection(m)
     first = max(CATALOGUE_MIN, NUM_ITEMS // 2)
-    assert not scores_catalogue(NUM_ITEMS, first - 1) and scores_catalogue(NUM_ITEMS, first)
+    assert not takes_catalogue(NUM_ITEMS, first - 1) and takes_catalogue(NUM_ITEMS, first)
     found = []
     for size in range(first, NUM_ITEMS + 1):
         items = rng.choice(NUM_ITEMS, size=size, replace=False)
@@ -142,7 +159,7 @@ def test_byte_equal_at_the_default_blas_thread_count(check):
 
 
 def test_switch_rule():
-    assert not scores_catalogue(NUM_ITEMS, 101)  # a sampled eval pool
-    assert not scores_catalogue(20_000, 9_999) and scores_catalogue(20_000, 10_000)
+    assert not takes_catalogue(NUM_ITEMS, 101)  # a sampled eval pool
+    assert not takes_catalogue(20_000, 9_999) and takes_catalogue(20_000, 10_000)
     # a catalogue under CATALOGUE_MIN items never switches
-    assert not any(scores_catalogue(CATALOGUE_MIN - 1, n) for n in range(CATALOGUE_MIN))
+    assert not any(takes_catalogue(CATALOGUE_MIN - 1, n) for n in range(CATALOGUE_MIN))

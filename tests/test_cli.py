@@ -340,16 +340,19 @@ class TestPipeline:
     @staticmethod
     def _save_misshapen_space(cfg, out, dest, block):
         """Build the real taste space with ``tdd``, then write a copy to
-        ``dest`` with one item row or one cluster-mean column dropped."""
+        ``dest`` with one item row, one cluster-mean column or every
+        cluster mean dropped."""
         assert main(["tdd", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz")]) == 0
         space = load_taste_space(out / "taste_space.npz")
         if block == "item_vectors":
             space.item_vectors = space.item_vectors[:-1]
-        else:
+        elif block == "cluster_means":
             space.cluster_means = space.cluster_means[:, :-1]
+        else:
+            space.cluster_means = space.cluster_means[:0]
         save_taste_space(dest, space)
 
-    @pytest.mark.parametrize("block", ["item_vectors", "cluster_means"])
+    @pytest.mark.parametrize("block", ["item_vectors", "cluster_means", "no-cluster-means"])
     @pytest.mark.parametrize("command", ["tdd", "aisp"])
     def test_misshapen_taste_space_file_is_an_error(self, trained, tmp_path, capsys,
                                                      command, block):
@@ -375,6 +378,21 @@ class TestPipeline:
         assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
         assert cache.read_bytes() == fresh_space
         assert (out / "tdd_report.tsv").read_text() == fresh_report
+
+    @pytest.mark.parametrize("command", ["tdd", "aisp"])
+    def test_default_taste_space_without_cluster_means_is_rebuilt(self, trained, command):
+        cfg, out = trained
+        argv = [command, "-c", str(cfg)]
+        if command == "tdd":
+            argv += ["--checkpoint", str(out / "checkpoint.npz")]
+        cache = out / "taste_space.npz"
+        report = out / ("tdd_report.tsv" if command == "tdd" else "aisp_tdd_report.tsv")
+        assert main(argv) == 0
+        fresh_space, fresh_report = cache.read_bytes(), report.read_text()
+        self._save_misshapen_space(cfg, out, cache, "no-cluster-means")
+        assert main(argv) == 0
+        assert cache.read_bytes() == fresh_space
+        assert report.read_text() == fresh_report
 
     @pytest.mark.parametrize("kind", [*UNREADABLE_NPZ, "no-meta"])
     @pytest.mark.parametrize("command", ["tdd", "aisp"])
@@ -481,6 +499,15 @@ class TestPipeline:
         assert "| Four\twith a tab |" in text
         for j in (0, 1, 5, 11):
             assert f"| Title {j} |" in text
+
+    def test_titles_not_utf8_is_a_config_error(self, trained, tmp_path, capsys):
+        cfg, out = trained
+        titles = tmp_path / "titles.tsv"
+        titles.write_bytes(b"i0\tItem Zero\ni1\tcaf\xe9\n")
+        capsys.readouterr()
+        assert main(["explain", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                     "--user", "u0", "--titles", str(titles)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {titles}: 'utf-8' codec ")
 
     @pytest.mark.parametrize("top", ["0", "-3"])
     def test_explain_nonpositive_top(self, trained, capsys, top):

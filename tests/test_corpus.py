@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestLoadRatings:
             tmp_path,
             [("u", "a", 1, 1), ("u", "b", 5, 2), ("u", "c", 4, 3), ("v", "a", 5, 1), ("v", "b", 5, 2)],
         )
-        data = load_ratings(path, TAB, min_rating=4.0)
+        data = load_ratings(path, replace(TAB, min_rating=4.0))
         u = data.user_index["u"]
         assert [data.item_ids[j] for j in data.per_user_items[u]] == ["b", "c"]
 
@@ -95,7 +96,7 @@ class TestLoadRatings:
             r.tolist() for r in second.per_user_items
         ]
         assert first.user_index == second.user_index
-        assert first.item_index == second.item_index
+        assert first.item_ids == second.item_ids
 
     def test_header_skipped(self, tmp_path):
         fmt = RatingFormat(delimiter=",", columns=("user", "item", "rating", "timestamp"), header=True)
@@ -122,9 +123,9 @@ class TestSplit:
         path = write_ratings(tmp_path, [("u", "a", 5, 1), ("u", "b", 5, 2)])
         data = load_ratings(path, TAB)
         split = split_leave_one_out(data)
-        assert split.train.per_user_items[0].tolist() == [data.item_index["a"]]
+        assert split.train.per_user_items[0].tolist() == [data.item_ids.index("a")]
         assert 0 not in split.validation
-        assert split.test[0] == data.item_index["b"]
+        assert split.test[0] == data.item_ids.index("b")
 
     def test_every_train_user_keeps_an_item(self):
         rng = np.random.default_rng(7)

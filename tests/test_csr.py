@@ -79,7 +79,7 @@ class TestInteractions:
     def test_id_lookups(self):
         data = Interactions.from_rows([[1, 0]], 2, user_ids=["u"], item_ids=["a", "b"])
         assert data.user_index == {"u": 0}
-        assert data.item_index == {"a": 0, "b": 1}
+        assert data.item_ids == ["a", "b"]
 
 
 class TestSplit:
