@@ -201,6 +201,8 @@ def cmd_explain(cfg: RunConfig, args, split, model) -> int:
     data = split.full
     if args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
+    if not args.titles_delimiter:
+        raise ConfigError("--titles-delimiter must not be empty")
     if args.user not in data.user_index:
         raise ConfigError(f"unknown user id {args.user!r}")
     titles = None

@@ -13,6 +13,8 @@ from itertools import chain
 
 import numpy as np
 
+from .fields import check_fields
+
 VALID_COLUMNS = ("user", "item", "rating", "timestamp")
 
 
@@ -37,6 +39,7 @@ class RatingFormat:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))  # e.g. a YAML list
+        check_fields(self)
         if not self.delimiter:
             raise CorpusError("the delimiter must not be empty")
         if len(set(self.columns)) != len(self.columns):

@@ -10,32 +10,28 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .fields import check_fields
 
 CATALOGUE_MIN = 2048  # smallest pool a scorer serves from the whole catalogue
 
 
 class CheckpointError(ValueError):
-    """Raised when a checkpoint's blocks do not match its stored config."""
+    """Raised for a checkpoint whose config or blocks do not validate."""
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_users: int
-    num_items: int
-    embedding_dim: int = 64
-    attention_dim: int = 64
-    personas: int = 2
+    num_users: int = field(metadata={"min": 1})
+    num_items: int = field(metadata={"min": 1})
+    embedding_dim: int = field(default=64, metadata={"min": 1})
+    attention_dim: int = field(default=64, metadata={"min": 1})
+    personas: int = field(default=2, metadata={"min": 1})
     seed: int = 0
-
-    def __post_init__(self):
-        if min(self.embedding_dim, self.attention_dim, self.personas) < 1:
-            raise ValueError("embedding_dim, attention_dim and personas must be >= 1")
-        if min(self.num_users, self.num_items) < 1:
-            raise ValueError("num_users and num_items must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -196,8 +192,9 @@ def read_npz(path, error: type[Exception]) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(path) -> tuple[PersonaModel, dict]:
-    """Read a checkpoint, checking every block's shape and float dtype
-    against the checkpoint's own config."""
+    """Read a checkpoint, checking its stored config against the field
+    contract and every block's shape, float dtype and finiteness against
+    that config."""
     data = read_npz(path, CheckpointError)
     try:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -219,4 +216,6 @@ def load_checkpoint(path) -> tuple[PersonaModel, dict]:
             raise CheckpointError(
                 f"{path}: block {name!r} is {found}, config needs float {shape}"
             )
+        if not np.isfinite(block).all():
+            raise CheckpointError(f"{path}: block {name!r} holds a non-finite value")
     return PersonaModel(config=config, **{name: data[name] for name in shapes}), meta

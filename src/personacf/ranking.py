@@ -12,20 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Interactions
+from .fields import check_fields
 
 
 @dataclass(frozen=True)
 class RankingProtocol:
-    num_sampled_negatives: int = 100
-    cutoff: int = 10
-    candidate_mode: str = "sampled"  # or "all-items"
-
-    def __post_init__(self):
-        for name in ("num_sampled_negatives", "cutoff"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.candidate_mode not in ("sampled", "all-items"):
-            raise ValueError(f"unknown candidate_mode {self.candidate_mode!r}")
+    num_sampled_negatives: int = field(default=100, metadata={"min": 1})
+    cutoff: int = field(default=10, metadata={"min": 1})
+    candidate_mode: str = field(default="sampled", metadata={"choices": ("sampled", "all-items")})
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -61,12 +56,15 @@ def top_positions(scores: np.ndarray, items: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rank_of_target(scores: np.ndarray, candidates: np.ndarray, target_pos: int) -> int:
-    """1-based rank by descending score, ascending item index on ties."""
+    """1-based rank by descending score, ascending item index on ties, NaN
+    after every number: the target's position in ``top_positions``' order."""
     t_score = scores[target_pos]
     t_item = candidates[target_pos]
-    better = np.count_nonzero(scores > t_score)
-    tied_before = np.count_nonzero((scores == t_score) & (candidates < t_item))
-    return 1 + better + int(tied_before)
+    if np.isnan(t_score):
+        better, tied = ~np.isnan(scores), np.isnan(scores)
+    else:
+        better, tied = scores > t_score, scores == t_score
+    return 1 + np.count_nonzero(better) + np.count_nonzero(tied & (candidates < t_item))
 
 
 def evaluate(

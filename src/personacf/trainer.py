@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CorpusError, Interactions, SamplingTable, Split, build_sampling_table
+from .fields import check_fields
 from .model import PersonaModel, model_scorer, softmax
 from .ranking import RankingProtocol, evaluate
 
@@ -32,26 +33,18 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class LossConfig:
-    alpha: float = 0.5
-    lambda_pos: float = 1.0
-    lambda_neg: float = 1.0
-    negatives_per_positive: int = 4
-    learning_rate: float = 0.001
-    batch_size: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    patience: int = 5
-    max_epochs: int = 200
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        for name in ("negatives_per_positive", "batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.lambda_pos < 0 or self.lambda_neg < 0:
-            raise ValueError("entropy weights must be nonnegative")
+    alpha: float = field(default=0.5, metadata={"min": 0, "max": 1})
+    lambda_pos: float = field(default=1.0, metadata={"min": 0})
+    lambda_neg: float = field(default=1.0, metadata={"min": 0})
+    negatives_per_positive: int = field(default=4, metadata={"min": 1})
+    learning_rate: float = field(default=0.001, metadata={"above": 0})
+    batch_size: int = field(default=256, metadata={"min": 1})
+    adam_beta1: float = field(default=0.9, metadata={"min": 0, "below": 1})
+    adam_beta2: float = field(default=0.999, metadata={"min": 0, "below": 1})
+    adam_eps: float = field(default=1e-8, metadata={"above": 0})
+    patience: int = field(default=5, metadata={"min": 0})
+    max_epochs: int = field(default=200, metadata={"min": 1})
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -5,9 +5,13 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+from dataclasses import fields, is_dataclass  # noqa: E402
+from typing import get_type_hints  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest
 
+from personacf.config import RunConfig
 from personacf.corpus import Interactions, split_leave_one_out
 from personacf.trainer import _forward_backward, _row_gradients
 
@@ -22,6 +26,18 @@ def make_interactions(per_user_items, num_items=None):
         user_ids=[str(u) for u in range(len(per_user_items))],
         item_ids=[str(j) for j in range(num_items)],
     )
+
+
+def config_fields():
+    """(section, field, declared type) of every value of a run config, in
+    declaration order; the top-level keys have the section "config"."""
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if is_dataclass(hints[f.name]):
+            types = get_type_hints(hints[f.name])
+            yield from ((f.name, g, types[g.name]) for g in fields(hints[f.name]))
+        else:
+            yield "config", f, hints[f.name]
 
 
 def loss_and_grads(model, user, pos, negs, cfg):

@@ -1,14 +1,18 @@
+import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
 import yaml
 
 import personacf
+from conftest import config_fields
 from personacf.cli import main
 from personacf.config import load_config
 from personacf.taste import load_taste_space, save_taste_space
@@ -62,6 +66,30 @@ def write_unreadable_npz(path, kind):
 
 
 UNREADABLE_NPZ = ["empty", "text", "not-a-zip", "truncated-zip", "npy"]
+
+
+def just_past(key, limit, kind):
+    """A ``kind`` value just outside the declared limit ``key: limit``."""
+    if key == "choices":
+        return "bogus"
+    if key in ("above", "below"):
+        return kind(limit)
+    direction = -1 if key == "min" else 1
+    return limit + direction if kind is int else math.nextafter(limit, direction * math.inf)
+
+
+def contract_cases():
+    """(section, key, bad value) for every int and float config field: a
+    value of another type, NaN, +-inf and one just past each declared
+    limit; plus a value outside a string field's choices."""
+    cases = []
+    for section, f, kind in config_fields():
+        kind = get_args(kind)[0] if type(None) in get_args(kind) else kind  # X | None
+        if kind in (int, float):
+            other = 2.5 if kind is int else True
+            cases += [(section, f.name, v) for v in (other, math.nan, math.inf, -math.inf)]
+        cases += [(section, f.name, just_past(*item, kind)) for item in f.metadata.items()]
+    return cases
 
 
 class TestTrain:
@@ -157,6 +185,17 @@ class TestErrors:
         cfg.write_text(yaml.safe_dump(raw).replace("VALUE", text))
         assert main(["train", "-c", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {section}: {key} must be ")
+
+    @pytest.mark.parametrize("section,key,value", contract_cases())
+    def test_every_value_outside_the_contract_exits_one(self, tmp_path, ratings_file, capsys,
+                                                        section, key, value):
+        cfg = write_config(tmp_path, ratings_file, tmp_path / "o")
+        raw = yaml.safe_load(cfg.read_text())
+        (raw if section == "config" else raw.setdefault(section, {}))[key] = value
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["train", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: {key} must be ") and err.count("\n") == 1
 
     def test_no_drawable_negative_exits_instead_of_hanging(self, tmp_path):
         # after the split each user trains on item 1 alone, the only item
@@ -515,6 +554,37 @@ class TestPipeline:
         assert main(["explain", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
                      "--user", "u0", "--top", top]) == 1
         assert capsys.readouterr().err.startswith("error: --top must be >= 1")
+
+    def test_explain_empty_titles_delimiter(self, trained, tmp_path, capsys):
+        cfg, out = trained
+        titles = tmp_path / "titles.tsv"
+        titles.write_text("i0\tItem Zero\n")
+        assert main(["explain", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                     "--user", "u0", "--titles", str(titles), "--titles-delimiter", ""]) == 1
+        assert capsys.readouterr().err == "error: --titles-delimiter must not be empty\n"
+
+    @pytest.mark.parametrize("block,config,message", [
+        ("item_bias", {}, "block 'item_bias' holds a non-finite value"),
+        ("personas", {}, "block 'personas' holds a non-finite value"),
+        (None, {"personas": 0}, "personas must be >= 1, got 0"),
+        (None, {"personas": True}, "personas must be int, got bool True"),
+        (None, {"num_items": 0}, "num_items must be >= 1, got 0"),
+    ], ids=["nan-block", "inf-block", "zero-personas", "bool-personas", "zero-items"])
+    def test_invalid_checkpoint_is_an_error(self, trained, capsys, block, config, message):
+        cfg, out = trained
+        ckpt = out / "checkpoint.npz"
+        with np.load(ckpt) as data:
+            blocks = dict(data)
+        if block:
+            blocks[block].flat[-1] = np.nan if block == "item_bias" else -np.inf
+        meta = json.loads(bytes(blocks["meta"]))
+        meta["config"].update(config)
+        blocks["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **blocks)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and message in err and err.count("\n") == 1
 
     def test_explain_unknown_user(self, trained):
         cfg, out = trained

@@ -1,13 +1,24 @@
-import pytest
+import re
+from pathlib import Path
+from typing import get_args
 
+import numpy as np
+import pytest
+import yaml
+
+from conftest import config_fields
 from personacf.config import (
     ConfigError,
     RunConfig,
     load_config,
     parse_config,
 )
+from personacf.fields import LIMITS
+from personacf.model import ModelConfig
 from personacf.ranking import RankingProtocol
 from personacf.trainer import LossConfig
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 class TestParse:
@@ -117,3 +128,44 @@ class TestLoad:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.yaml")
+
+
+def table_rows():
+    """(key, type, legal values, default) of every config key, as the
+    README table states them."""
+    for section, f, kind in config_fields():
+        args = get_args(kind)
+        if type(None) in args:
+            kind = f"{args[0].__name__} or null"
+        else:
+            kind = f"list of {args[0].__name__}" if args else kind.__name__
+        limits = [f"one of {', '.join(limit)}" if name == "choices"
+                  else f"{LIMITS[name][0]} {limit}" for name, limit in f.metadata.items()]
+        default = list(f.default) if isinstance(f.default, tuple) else f.default
+        key = f.name if section == "config" else f"{section}.{f.name}"
+        yield key, kind, ", ".join(limits) or "—", default
+
+
+class TestContract:
+    """Every config dataclass checks its fields as it is built, from a
+    YAML file or a library call alike."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: LossConfig(batch_size=0), "batch_size must be >= 1, got 0"),
+        (lambda: RankingProtocol(cutoff=0), "cutoff must be >= 1, got 0"),
+        (lambda: ModelConfig(2, 4, personas=0), "personas must be >= 1, got 0"),
+        (lambda: LossConfig(learning_rate=float("nan")), "learning_rate must be finite, got nan"),
+        (lambda: ModelConfig(np.int64(2), 4), "num_users must be int, got int64 np.int64(2)"),
+    ], ids=["loss-batch_size", "eval-cutoff", "model-personas", "loss-nan", "numpy-int"])
+    def test_library_construction_is_checked(self, build, message):
+        with pytest.raises((TypeError, ValueError), match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_readme_table_matches_the_declared_fields(self):
+        """README's table of config keys lists every key of RunConfig in
+        order, with its type, its declared limits and its default."""
+        rows = re.findall(r"^\| `([\w.]+)` \| (.+?) \| (.+?) \| `(.*)` \|$",
+                          README.read_text(), re.M)
+        assert [(key, kind, limits, yaml.safe_load(default))
+                for key, kind, limits, default in rows] == list(table_rows())
+

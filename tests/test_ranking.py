@@ -186,6 +186,29 @@ class TestTopPositions:
         got = top_positions(scores, items, n)
         np.testing.assert_array_equal(got, full_sort_positions(scores, items, n))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_evaluate_ranks_the_target_in_the_same_order(self, data):
+        """The held-out item's rank is its place in ``top_positions``' order,
+        so a NaN target ranks after every number, not first."""
+        num_items = data.draw(st.integers(2, 20))
+        value = st.sampled_from(SPECIAL_SCORES) | st.floats()
+        table = np.array(data.draw(st.lists(value, min_size=num_items, max_size=num_items)))
+        target = data.draw(st.integers(0, num_items - 1))
+        report = evaluate(lambda u, cands: table[cands], {0: target},
+                          make_interactions([[target]], num_items),
+                          RankingProtocol(candidate_mode="all-items"))
+        order = full_sort_positions(table, np.arange(num_items), num_items).tolist()
+        assert report.per_user == [(0, 1 + order.index(target))]
+
+    def test_nan_target_ranks_after_numbers(self):
+        # top_positions orders these [1, 2, 7, 9], so item 7 is 3rd
+        table = {7: np.nan, 1: 0.5, 2: 0.2, 9: np.nan}
+        scorer = lambda u, cands: np.array([table[j] for j in cands])
+        data = make_interactions([[0, 3, 4, 5, 6, 8]], num_items=10)
+        assert evaluate(scorer, {0: 7}, data, RankingProtocol(candidate_mode="all-items")
+                        ).per_user == [(0, 3)]
+
 
 class TestTopK:
     def test_only_candidate(self):
