@@ -17,15 +17,20 @@ def _sq_dists(points, sq_norms, centroids):
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
+    diff = np.empty_like(points)  # one (n, p) buffer for every seed's distances
+
+    def sq_dists_to(centroid):
+        return np.square(np.subtract(points, centroid, out=diff), out=diff).sum(axis=1)
+
     centroids[0] = points[rng.integers(n)]
-    d2 = np.square(points - centroids[0]).sum(axis=1)
+    d2 = sq_dists_to(centroids[0])
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             centroids[c] = points[rng.integers(n)]
             continue
         centroids[c] = points[np.searchsorted(np.cumsum(d2 / total), rng.random())]
-        d2 = np.minimum(d2, np.square(points - centroids[c]).sum(axis=1))
+        d2 = np.minimum(d2, sq_dists_to(centroids[c]))
     return centroids
 
 

@@ -198,9 +198,13 @@ def load_checkpoint(path) -> tuple[PersonaModel, dict]:
     data = read_npz(path, CheckpointError)
     try:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        config = ModelConfig(**meta["config"])
+        stored = meta["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unreadable meta record ({exc!r})") from None
+    try:
+        config = ModelConfig(**stored)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: stored config: {exc}") from None
     d, da = config.embedding_dim, config.attention_dim
     shapes = {
         "personas": (config.num_users, config.personas, d),

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import get_args
 
@@ -585,6 +586,39 @@ class TestPipeline:
         assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda meta: json.dumps({**meta, "config": {**meta["config"], "personas": 0}}),
+         "stored config: personas must be >= 1, got 0"),
+        (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "config"}),
+         "unreadable meta record (KeyError('config'))"),
+        (lambda meta: json.dumps(meta)[:-1], "unreadable meta record (JSONDecodeError("),
+    ], ids=["contract", "no-config-key", "not-json"])
+    def test_checkpoint_meta_error_names_its_cause(self, trained, capsys, spoil, message):
+        cfg, out = trained
+        ckpt = out / "checkpoint.npz"
+        with np.load(ckpt) as data:
+            blocks = dict(data)
+        meta = spoil(json.loads(bytes(blocks["meta"])))
+        blocks["meta"] = np.frombuffer(meta.encode(), dtype=np.uint8)
+        np.savez(ckpt, **blocks)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {message}") and err.count("\n") == 1
+
+    def test_read_only_commands_start_no_thread(self, trained, monkeypatch):
+        cfg, out = trained
+        ckpt = str(out / "checkpoint.npz")
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        before = threading.active_count()
+        for argv in (["eval", "-c", str(cfg), "--checkpoint", ckpt],
+                     ["tdd", "-c", str(cfg), "--checkpoint", ckpt],
+                     ["aisp", "-c", str(cfg)],
+                     ["explain", "-c", str(cfg), "--checkpoint", ckpt, "--user", "u0"]):
+            assert main(argv) == 0, argv
+        assert started == [] and threading.active_count() == before
 
     def test_explain_unknown_user(self, trained):
         cfg, out = trained

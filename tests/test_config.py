@@ -1,6 +1,7 @@
 import re
+from dataclasses import fields
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import yaml
 from conftest import config_fields
 from personacf.config import (
     ConfigError,
+    ModelSection,
     RunConfig,
     load_config,
     parse_config,
@@ -160,6 +162,18 @@ class TestContract:
     def test_library_construction_is_checked(self, build, message):
         with pytest.raises((TypeError, ValueError), match=f"^{re.escape(message)}$"):
             build()
+
+    def test_model_section_mirrors_model_config(self):
+        """ModelSection repeats ModelConfig's size fields (a shared base
+        class would reorder the checkpoint meta bytes): the same names in
+        the same order, with the same types, defaults and limits."""
+        def declared(cls, names):
+            hints = get_type_hints(cls)
+            return [(f.name, hints[f.name], f.default, dict(f.metadata))
+                    for f in fields(cls) if f.name in names]
+
+        names = {f.name for f in fields(ModelSection)}
+        assert declared(ModelSection, names) == declared(ModelConfig, names)
 
     def test_readme_table_matches_the_declared_fields(self):
         """README's table of config keys lists every key of RunConfig in

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from personacf import trainer
 from personacf.corpus import (
@@ -206,7 +208,8 @@ class TestSampleNegatives:
         )
 
     def _draw(self, table, exclude, n, rng):
-        return _draw_batch_negatives(np.array([0]), table, [exclude], n, rng)[0]
+        keys = np.array(sorted(exclude), dtype=np.intp)  # user 0: u * num_items + j is j
+        return _draw_batch_negatives(np.array([0]), table, [exclude], keys, n, rng)[0]
 
     def test_forced_single_outcome(self):
         table = self._table()
@@ -237,3 +240,73 @@ class TestSampleNegatives:
         model = init_model(ModelConfig(num_users=2, num_items=4), np.random.default_rng(0))
         with pytest.raises(CorpusError, match="sampleable"):
             trainer.train(split, model, LossConfig(max_epochs=1), np.random.default_rng(0))
+
+
+def loop_draw_negatives(users, table, train_sets, n_neg, rng):
+    """The sampler the bulk one replaced: a loop over the slots in
+    row-major order, redrawing one item at a time while the user has
+    trained on it."""
+    B = len(users)
+    negs = table.draw(rng, (B, n_neg))
+    for b in range(B):
+        forbidden = train_sets[users[b]]
+        for s in range(n_neg):
+            while int(negs[b, s]) in forbidden:
+                negs[b, s] = table.draw(rng, None)
+    return negs
+
+
+class TestBulkNegativesMatchLoop:
+    """The bulk sampler returns the loop's negatives and leaves the
+    generator in the loop's state, so training consumes the same stream."""
+
+    @staticmethod
+    def draw_both(table, train_sets, users, n_neg, seed):
+        num_items = len(table.probabilities)
+        keys = np.sort([u * num_items + j for u, items in enumerate(train_sets) for j in items])
+        bulk_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_batch_negatives(users, table, train_sets, keys, n_neg, bulk_rng)
+        want = loop_draw_negatives(users, table, train_sets, n_neg, loop_rng)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert bulk_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @staticmethod
+    def table(counts):
+        from conftest import make_interactions
+
+        # one row holding item j counts[j] times gives the table those counts
+        row = [j for j, c in enumerate(counts) for _ in range(c)]
+        return build_sampling_table(make_interactions([row], num_items=len(counts)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), num_items=st.integers(2, 12), num_users=st.integers(1, 5),
+           B=st.integers(1, 40), n_neg=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_near_full_histories(self, data, num_items, num_users, B, n_neg, seed):
+        counts = data.draw(st.lists(st.integers(1, 400), min_size=num_items,
+                                    max_size=num_items))
+        # every user leaves at least one item out, most leave out one or two
+        train_sets = []
+        for _ in range(num_users):
+            free = data.draw(st.integers(1, num_items - 1) | st.integers(1, min(2, num_items - 1)))
+            kept = data.draw(st.permutations(range(num_items)))[free:]
+            train_sets.append(set(kept))
+        users = np.array(data.draw(st.lists(st.integers(0, num_users - 1),
+                                            min_size=B, max_size=B)), dtype=np.intp)
+        self.draw_both(self.table(counts), train_sets, users, n_neg, seed)
+
+    def test_pool_runs_out(self):
+        # user 0 trained on every item but the rarest, so a slot takes about
+        # 100 redraws and the first pool (4 per rejected slot + 64) runs out
+        table = self.table([400, 400, 400, 400, 400, 1])
+        sizes = []
+        draw = table.draw
+
+        def recording_draw(rng, size):
+            sizes.append(size)
+            return draw(rng, size)
+
+        table.draw = recording_draw
+        self.draw_both(table, [{0, 1, 2, 3, 4}], np.zeros(8, dtype=np.intp), 4, seed=11)
+        bulk = sizes[: sizes.index((8, 4), 1)]  # the loop's first draw ends the bulk calls
+        assert len(bulk) > 2, bulk  # the batch, the first pool and at least one more
+
