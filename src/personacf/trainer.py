@@ -15,12 +15,7 @@ H_neg spreads randomly drawn negatives over all personas.
 
 from __future__ import annotations
 
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +25,11 @@ from .model import PersonaModel, model_scorer, softmax
 from .ranking import RankingProtocol, evaluate
 
 ENTROPY_CLAMP = 1e-12  # floor inside log only; weights themselves untouched
-MAX_PARTS = 4  # most parts a training step is split into
+# Adam updates about this many values of a block at a time, so the six
+# arrays it passes over stay in a 2 MB L2 cache between its 14 calls:
+# traced train-ml Adam 3.4-4.0 -> 2.5-2.6 s per epoch on a 2-vCPU Xeon
+ADAM_CHUNK = 32_768
+SCATTER_BLOCK = 256  # index rows whose flat indices a gradient scatter makes at once
 
 
 class TrainingDiverged(RuntimeError):
@@ -73,84 +72,14 @@ class EpochRecord:
     val_ndcg: float
 
 
-LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
-
-
-def _part_count() -> int:
-    """How many parts a training step is split into: the CPUs this process
-    may run on, at most MAX_PARTS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_PARTS)
-
-
-@dataclass(frozen=True)
-class _Parts:
-    """A training step split into ``count`` parts: the calling thread and
-    ``count - 1`` worker threads of ``pool``. A job covers a contiguous
-    share of the rows of what it computes, so jobs write disjoint memory,
-    and a step does the same arithmetic in the same order for any count."""
-
-    count: int = 1
-    pool: ThreadPoolExecutor | None = None
-
-    def shares(self, n: int) -> list[tuple[int, int]]:
-        """``count`` contiguous [lo, hi) shares of ``n`` rows, empty ones left out."""
-        cuts = [n * part // self.count for part in range(self.count + 1)]
-        return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-
-    def run(self, jobs: list) -> None:
-        """Call every job in ``jobs``: each part takes the next one until
-        none is left. Returns once all parts have stopped, raising the
-        exception of a job that failed."""
-        todo = queue.SimpleQueue()
-        for job in jobs:
-            todo.put(job)
-
-        def take_jobs():
-            while True:
-                try:
-                    job = todo.get_nowait()
-                except queue.Empty:
-                    return
-                job()
-
-        futures = [self.pool.submit(take_jobs) for _ in range(1, min(self.count, len(jobs)))]
-        try:
-            take_jobs()
-        finally:
-            wait(futures)
-        for future in futures:
-            future.result()
-
-
-ONE_PART = _Parts()
-
-
 def _row_gradients(model: PersonaModel) -> dict[str, np.ndarray]:
-    """Zeroed gradient buffers for the row-indexed parameter blocks."""
+    """Zeroed gradient buffers for the row-indexed parameter blocks, in C
+    order, as ``_scatter_rows`` needs."""
     return {
-        "personas": np.zeros_like(model.personas),
-        "item_vectors": np.zeros_like(model.item_vectors),
-        "item_bias": np.zeros_like(model.item_bias),
+        "personas": np.zeros(model.personas.shape, model.personas.dtype),
+        "item_vectors": np.zeros(model.item_vectors.shape, model.item_vectors.dtype),
+        "item_bias": np.zeros(model.item_bias.shape, model.item_bias.dtype),
     }
-
-
-def _batch_buffers(model: PersonaModel, rows: int, candidates: int) -> dict[str, np.ndarray]:
-    """Per-example buffers for a batch of up to ``rows`` rows of
-    ``candidates`` items: the loss terms, the arrays the reductions over
-    the batch read, and the large intermediates. A smaller batch uses
-    their first rows."""
-    r, d, da = model.config.personas, model.config.embedding_dim, model.config.attention_dim
-    C = candidates
-    shapes = {
-        "Ub": (r, d), "Vb": (C, d), "psi": (r, da), "phi": (C, da), "X": (C, d),
-        "gy": (C,), "gX": (C, d), "gV": (C, d), "gpsi": (r, da), "gphi": (C, da),
-        "gU": (r, d), "gU_psi": (r, d), **{name: () for name in LOSS_TERMS},
-    }
-    return {name: np.empty((rows, *shape)) for name, shape in shapes.items()}
 
 
 def _zero_touched_rows(
@@ -164,6 +93,19 @@ def _zero_touched_rows(
     row_grads["item_bias"][touched] = 0.0
 
 
+def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(out, rows, values)`` for whole rows of a C-ordered
+    ``out``, through the faster 1-D path of ``np.add.at``: the same
+    additions in the same order. The flat indices are made SCATTER_BLOCK
+    rows at a time, to bound their memory."""
+    width = out[0].size
+    flat_out, columns = out.reshape(-1), np.arange(width)
+    values = values.reshape(len(rows), width)
+    for lo in range(0, len(rows), SCATTER_BLOCK):
+        flat = (rows[lo : lo + SCATTER_BLOCK, None] * width + columns).ravel()
+        np.add.at(flat_out, flat, values[lo : lo + SCATTER_BLOCK].ravel())
+
+
 def _forward_backward(
     model: PersonaModel,
     users: np.ndarray,
@@ -171,8 +113,6 @@ def _forward_backward(
     cfg: LossConfig,
     scale: float,
     row_grads: dict[str, np.ndarray],
-    parts: _Parts = ONE_PART,
-    work: dict[str, np.ndarray] | None = None,
 ):
     """Loss and gradients for a batch.
 
@@ -180,115 +120,66 @@ def _forward_backward(
     positive. Returns (mean LossBreakdown, dense gradient dict scaled by
     ``scale``). The personas, item_vectors and item_bias gradients are
     scattered into ``row_grads`` (see ``_row_gradients``), which must be
-    all zero on entry. ``work`` holds ``_batch_buffers`` for at least B
-    rows of C items; without it they are allocated here.
-
-    ``parts`` compute the per-example terms of a share of the rows each,
-    then the reductions over the batch. The loss means are taken here,
-    over the whole batch.
+    all zero on entry.
     """
-    B, C = items.shape
-    w = _batch_buffers(model, B, C) if work is None else {k: v[:B] for k, v in work.items()}
-    parts.run([
-        partial(_example_rows, model, users, items, cfg, scale, w, lo, hi)
-        for lo, hi in parts.shares(B)
-    ])
-    if not np.all(np.isfinite(w["total"])):
-        raise TrainingDiverged("non-finite loss in batch")
-    breakdown = LossBreakdown(**{name: float(w[name].mean()) for name in LOSS_TERMS})
-    grads = {
-        **row_grads,
-        "attn_user_map": np.empty_like(model.attn_user_map),
-        "attn_item_map": np.empty_like(model.attn_item_map),
-    }
-    parts.run(_reductions(users, items, scale, w, grads, parts))
-    return breakdown, grads
-
-
-def _example_rows(model, users, items, cfg, scale, w, lo, hi) -> None:
-    """Loss terms and per-example gradients of the batch rows [lo, hi),
-    written into those rows of the buffers ``w``; the gradients the
-    reductions scatter are scaled by ``scale`` here. Rows with a
-    non-finite loss skip the backward half: the batch is refused."""
-    s = {name: buf[lo:hi] for name, buf in w.items()}
-    users, items = users[lo:hi], items[lo:hi]
     a, lp, ln_ = cfg.alpha, cfg.lambda_pos, cfg.lambda_neg
     Au, Av = model.attn_user_map, model.attn_item_map
 
-    Ub = np.take(model.personas, users, axis=0, out=s["Ub"])  # (b, r, d)
-    Vb = np.take(model.item_vectors, items, axis=0, out=s["Vb"])  # (b, C, d)
-    psi = np.matmul(Ub, Au, out=s["psi"])  # (b, r, d_a)
-    phi = np.matmul(Vb, Av.T, out=s["phi"])  # (b, C, d_a)
-    logits = np.einsum("bke,bce->bkc", psi, phi)  # (b, r, C)
+    Ub = model.personas[users]  # (B, r, d)
+    Vb = model.item_vectors[items]  # (B, C, d)
+    psi = Ub @ Au  # (B, r, d_a)
+    phi = Vb @ Av.T  # (B, C, d_a)
+    logits = np.einsum("bke,bce->bkc", psi, phi)  # (B, r, C)
     W = softmax(logits, axis=1)  # attention weights over personas
-    X = np.einsum("bkc,bkd->bcd", W, Ub, out=s["X"])  # (b, C, d)
-    y = np.einsum("bcd,bcd->bc", X, Vb) + model.item_bias[items]  # (b, C)
+    X = np.einsum("bkc,bkd->bcd", W, Ub)  # (B, C, d)
+    y = np.einsum("bcd,bcd->bc", X, Vb) + model.item_bias[items]  # (B, C)
 
     y_max = y.max(axis=1, keepdims=True)
     exp = np.exp(y - y_max)
     exp_sum = exp.sum(axis=1, keepdims=True)
-    p = np.divide(exp, exp_sum, out=s["gy"])  # softmax over candidates
+    p = exp / exp_sum  # softmax over candidates
     data_loss = -y[:, 0] + y_max[:, 0] + np.log(exp_sum[:, 0])
-    log_w = np.log(np.maximum(W, ENTROPY_CLAMP))  # (b, r, C), shared with the gradient
+    log_w = np.log(np.maximum(W, ENTROPY_CLAMP))  # (B, r, C), shared with the gradient
     ent = -W * log_w
     pos_entropy = ent[:, :, 0].sum(axis=1)
     neg_entropy = ent[:, :, 1:].sum(axis=(1, 2))
     entropy_loss = lp * pos_entropy - ln_ * neg_entropy
     total = a * data_loss + (1.0 - a) * entropy_loss
-    for name, term in zip(LOSS_TERMS, (data_loss, pos_entropy, neg_entropy, entropy_loss, total)):
-        s[name][:] = term
     if not np.all(np.isfinite(total)):
-        return
+        raise TrainingDiverged("non-finite loss in batch")
+    breakdown = LossBreakdown(
+        data_loss=float(data_loss.mean()),
+        pos_entropy=float(pos_entropy.mean()),
+        neg_entropy=float(neg_entropy.mean()),
+        entropy_loss=float(entropy_loss.mean()),
+        total=float(total.mean()),
+    )
 
     # backward
-    gy = np.multiply(p, a, out=p)
+    gy = a * p
     gy[:, 0] -= a  # d data_loss / dy
-    gX = np.multiply(gy[:, :, None], Vb, out=s["gX"])  # (b, C, d)
-    gV = np.multiply(gy[:, :, None], X, out=s["gV"])  # direct score path
+    gX = gy[:, :, None] * Vb  # (B, C, d)
+    gV = gy[:, :, None] * X  # direct score path
     gW = np.einsum("bcd,bkd->bkc", gX, Ub)  # via x
     # entropy paths: d(-w log w)/dw = -(log w + 1)
     gW[:, :, 0] += (1.0 - a) * lp * (-(log_w[:, :, 0] + 1.0))
     gW[:, :, 1:] += (1.0 - a) * ln_ * (log_w[:, :, 1:] + 1.0)
     # softmax backward over personas, per candidate
-    gS = W * (gW - (W * gW).sum(axis=1, keepdims=True))  # (b, r, C)
-    gpsi = np.einsum("bkc,bce->bke", gS, phi, out=s["gpsi"])
-    gphi = np.einsum("bkc,bke->bce", gS, psi, out=s["gphi"])
-    gU = np.einsum("bkc,bcd->bkd", W, gX, out=s["gU"])
-    gU += np.matmul(gpsi, Au.T, out=s["gU_psi"])
-    gV += np.matmul(gphi, Av, out=gX)  # gX is spent; its buffer takes the product
+    gS = W * (gW - (W * gW).sum(axis=1, keepdims=True))  # (B, r, C)
+    gpsi = np.einsum("bkc,bce->bke", gS, phi)
+    gphi = np.einsum("bkc,bke->bce", gS, psi)
+    gU = np.einsum("bkc,bcd->bkd", W, gX) + gpsi @ Au.T
+    gV += gphi @ Av
+    gAu = scale * np.einsum("bkd,bke->de", Ub, gpsi)
+    gAv = scale * np.einsum("bce,bcd->ed", gphi, Vb)
+
     gU *= scale
     gV *= scale
-    gy *= scale
-
-
-def _reductions(users, items, scale, w, grads, parts) -> list:
-    """The reductions over the batch as jobs, the costliest first on the
-    benchmark shapes. Each np.add.at scatter is one job, as it adds in
-    index order. The attention-map gradients are split along their output
-    rows only, as einsum adds over the batch rows in order."""
-    B, C = items.shape
-
-    def attention_map(name, subscripts, sliced, other):
-        return [
-            partial(_attention_map_rows, subscripts, w[sliced], w[other], scale, grads[name], lo, hi)
-            for lo, hi in parts.shares(len(grads[name]))
-        ]
-
-    return [
-        partial(np.add.at, grads["item_vectors"], items.ravel(), w["gV"].reshape(B * C, -1)),
-        *attention_map("attn_item_map", "bce,bcd->ed", "gphi", "Vb"),
-        partial(np.add.at, grads["personas"], users, w["gU"]),
-        *attention_map("attn_user_map", "bkd,bke->de", "Ub", "gpsi"),
-        partial(np.add.at, grads["item_bias"], items.ravel(), w["gy"].ravel()),
-    ]
-
-
-def _attention_map_rows(subscripts, sliced, other, scale, out, lo, hi) -> None:
-    """Rows [lo, hi) of an attention-map gradient, ``scale`` times the
-    ``subscripts`` einsum whose output rows index the last axis of ``sliced``."""
-    out = out[lo:hi]
-    np.einsum(subscripts, sliced[:, :, lo:hi], other, out=out)
-    out *= scale
+    _scatter_rows(row_grads["personas"], users, gU)
+    _scatter_rows(row_grads["item_vectors"], items.ravel(), gV)
+    np.add.at(row_grads["item_bias"], items.ravel(), scale * gy.ravel())
+    grads = {**row_grads, "attn_user_map": gAu, "attn_item_map": gAv}
+    return breakdown, grads
 
 
 class Adam:
@@ -299,31 +190,28 @@ class Adam:
     bytes, so c1 and c2 stay divisors, not reciprocal factors),
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
     param -= lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
-    It is elementwise, so ``parts`` update a share of the rows of a block
-    each.
+    It is elementwise, so a block is updated about ADAM_CHUNK values
+    (whole rows) at a time.
     """
 
-    def __init__(self, blocks: dict[str, np.ndarray], cfg: LossConfig, parts: _Parts = ONE_PART):
+    def __init__(self, blocks: dict[str, np.ndarray], cfg: LossConfig):
         self.lr = cfg.learning_rate
         self.b1, self.b2, self.eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
         self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
         self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in blocks.items()}
-        self.parts = parts
         self.t = 0
 
     def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
         c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
-        self.parts.run([
-            partial(self._update_rows, k, param, grads[k], c1, c2, lo, hi)
-            for k, param in blocks.items()
-            for lo, hi in self.parts.shares(len(param))
-        ])
+        for k, param in blocks.items():
+            arrays = (param, grads[k], self.m[k], self.v[k], *self._scratch[k])
+            rows = max(1, ADAM_CHUNK * len(param) // max(param.size, 1))
+            for lo in range(0, len(param), rows):
+                self._update(*(x[lo : lo + rows] for x in arrays), c1, c2)
 
-    def _update_rows(self, k, param, g, c1, c2, lo, hi) -> None:
-        param, g, m, v = param[lo:hi], g[lo:hi], self.m[k][lo:hi], self.v[k][lo:hi]
-        a, b = (buf[lo:hi] for buf in self._scratch[k])
+    def _update(self, param, g, m, v, a, b, c1, c2) -> None:
         np.multiply(m, self.b1, out=m)
         np.multiply(g, 1 - self.b1, out=a)
         np.add(m, a, out=m)
@@ -414,88 +302,79 @@ def train(
     improved for ``cfg.patience`` epochs (patience 0 -> exactly one epoch).
     Validation candidates exclude everything the user consumed in
     ``split.full``.
-
-    Each step is split over the CPUs the process may run on (at most
-    MAX_PARTS), on worker threads that live as long as this call; the
-    results are the same bytes for any number of them.
     """
     protocol = protocol or RankingProtocol()
     table = build_sampling_table(split.train)
     _check_negatives_drawable(split.train, table.probabilities)
     # sets, not a dense mask: train-dense pass_s 4.62 -> 5.60 s (seed 1, 6 alternating 10 s pairs)
     train_sets = [set(row.tolist()) for row in split.train.per_user_items]
-    events = np.column_stack([split.train.event_users(), split.train.indices])
-    train_keys = np.sort(events[:, 0] * split.train.num_items + events[:, 1])
+    # training event e is item indices[e] of the user u with indptr[u] <= e < indptr[u + 1]
+    indptr, events = split.train.indptr, split.train.indices
+    train_keys = np.sort(split.train.event_users() * split.train.num_items + events)
 
     # one fixed candidate set per validation user keeps the early-stopping
     # signal comparable across epochs
     val_seed = int(rng.integers(2**63))
-    count = _part_count()
-    with (ThreadPoolExecutor(count - 1) if count > 1 else nullcontext()) as pool:
-        parts = _Parts(count, pool)
-        opt = Adam(model.parameter_blocks(), cfg, parts)
-        row_grads = _row_gradients(model)  # reused: re-zeroed on touched rows after each step
-        work = _batch_buffers(
-            model, min(cfg.batch_size, len(events)), 1 + cfg.negatives_per_positive
-        )
-        history: list[EpochRecord] = []
-        best = model.copy()
-        best_hr, best_ndcg = -1.0, -1.0
-        stale = 0
+    opt = Adam(model.parameter_blocks(), cfg)
+    row_grads = _row_gradients(model)  # reused: re-zeroed on touched rows after each step
+    history: list[EpochRecord] = []
+    best = model.copy()
+    best_hr, best_ndcg = -1.0, -1.0
+    stale = 0
 
-        for epoch in range(1, cfg.max_epochs + 1):
-            order = rng.permutation(len(events))
-            sums = np.zeros(4)
-            n_batches = 0
-            for start in range(0, len(events), cfg.batch_size):
-                batch = events[order[start : start + cfg.batch_size]]
-                users, pos = batch[:, 0], batch[:, 1]
-                negs = _draw_batch_negatives(
-                    users, table, train_sets, train_keys, cfg.negatives_per_positive, rng
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(len(events))
+        sums = np.zeros(4)
+        n_batches = 0
+        for start in range(0, len(events), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            users = np.searchsorted(indptr, batch, side="right") - 1
+            pos = events[batch]
+            negs = _draw_batch_negatives(
+                users, table, train_sets, train_keys, cfg.negatives_per_positive, rng
+            )
+            items = np.concatenate([pos[:, None], negs], axis=1)
+            try:
+                loss, grads = _forward_backward(
+                    model, users, items, cfg, scale=1.0 / len(batch), row_grads=row_grads
                 )
-                items = np.concatenate([pos[:, None], negs], axis=1)
-                try:
-                    loss, grads = _forward_backward(
-                        model, users, items, cfg, scale=1.0 / len(batch), row_grads=row_grads,
-                        parts=parts, work=work,
-                    )
-                except TrainingDiverged:
-                    raise TrainingDiverged(
-                        f"non-finite loss in epoch {epoch}, batch {n_batches}"
-                    ) from None
-                opt.step(model.parameter_blocks(), grads)
-                _zero_touched_rows(row_grads, users, items)
-                sums += (loss.data_loss, loss.pos_entropy, loss.neg_entropy, loss.total)
-                n_batches += 1
+            except TrainingDiverged:
+                raise TrainingDiverged(
+                    f"non-finite loss in epoch {epoch}, batch {n_batches}"
+                ) from None
+            opt.step(model.parameter_blocks(), grads)
+            _zero_touched_rows(row_grads, users, items)
+            sums += (loss.data_loss, loss.pos_entropy, loss.neg_entropy, loss.total)
+            n_batches += 1
 
-            report = evaluate(
-                model_scorer(model),
-                split.validation,
-                split.full,
-                protocol,
-                np.random.default_rng(val_seed),
-            )
-            record = EpochRecord(
-                epoch=epoch,
-                data_loss=sums[0] / n_batches,
-                pos_entropy=sums[1] / n_batches,
-                neg_entropy=sums[2] / n_batches,
-                total_loss=sums[3] / n_batches,
-                val_hr=report.hr_at_k,
-                val_ndcg=report.ndcg_at_k,
-            )
-            history.append(record)
-            if log is not None:
-                log(record)
+        report = evaluate(
+            model_scorer(model),
+            split.validation,
+            split.full,
+            protocol,
+            np.random.default_rng(val_seed),
+        )
+        record = EpochRecord(
+            epoch=epoch,
+            data_loss=sums[0] / n_batches,
+            pos_entropy=sums[1] / n_batches,
+            neg_entropy=sums[2] / n_batches,
+            total_loss=sums[3] / n_batches,
+            val_hr=report.hr_at_k,
+            val_ndcg=report.ndcg_at_k,
+        )
+        history.append(record)
+        if log is not None:
+            log(record)
 
-            if record.val_hr > best_hr or record.val_ndcg > best_ndcg:
-                best_hr = max(best_hr, record.val_hr)
-                best_ndcg = max(best_ndcg, record.val_ndcg)
-                best = model.copy()
-                stale = 0
-            else:
-                stale += 1
-            if stale >= cfg.patience:
-                break
+        if record.val_hr > best_hr or record.val_ndcg > best_ndcg:
+            best_hr = max(best_hr, record.val_hr)
+            best_ndcg = max(best_ndcg, record.val_ndcg)
+            best = model.copy()
+            stale = 0
+        else:
+            stale += 1
+        if stale >= cfg.patience:
+            break
 
     return best, history

@@ -1,14 +1,14 @@
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple
+from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loss_and_grads, sgd_step, two_cluster_corpus
+from conftest import loss_and_grads, make_interactions, sgd_step, two_cluster_corpus
 from personacf import trainer
 from personacf.corpus import split_leave_one_out
 from personacf.model import ModelConfig, attend, init_model, model_scorer, softmax
@@ -19,21 +19,12 @@ from personacf.trainer import (
     LossConfig,
     TrainingDiverged,
     _forward_backward,
-    _Parts,
     _row_gradients,
+    _scatter_rows,
     _zero_touched_rows,
     train,
 )
 from test_model import random_model
-
-PART_COUNTS = (1, 2, 3)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """Worker threads for up to three parts."""
-    with ThreadPoolExecutor(max(PART_COUNTS) - 1) as executor:
-        yield executor
 
 
 def scalar_loss_oracle(model, user, pos, negs, cfg):
@@ -277,34 +268,33 @@ class TestForwardBackwardMatchesOldCode:
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(0.0, 1.0), lambda_pos=st.floats(0.0, 3.0),
            lambda_neg=st.floats(0.0, 3.0), spread=st.sampled_from([0.1, 1.0, 8.0]),
-           count=st.sampled_from(PART_COUNTS), **batch_shapes)
-    def test_same_bytes(self, pool, alpha, lambda_pos, lambda_neg, spread, count,
-                        B, C, r, d, da, seed):
+           **batch_shapes)
+    def test_same_bytes(self, alpha, lambda_pos, lambda_neg, spread, B, C, r, d, da, seed):
         # spread 8 drives attention weights to exactly 0 and 1, under the clamp
         m, users, items = random_batch(B, C, r, d, da, seed)
         for block in m.parameter_blocks().values():
             block *= spread
         cfg = LossConfig(alpha=alpha, lambda_pos=lambda_pos, lambda_neg=lambda_neg)
-        self.assert_same_bytes(m, users, items, cfg, _Parts(count, pool))
+        self.assert_same_bytes(m, users, items, cfg)
 
-    @pytest.mark.parametrize("count", PART_COUNTS)
     @pytest.mark.parametrize("B", [256, 250])
-    def test_same_bytes_at_default_sizes(self, pool, count, B):
-        # the default model and batch size; 250 rows do not divide into 3 parts
+    def test_same_bytes_at_default_sizes(self, B):
+        # the default model and batch size, and a short last batch; 50 items
+        # repeat across the batch's candidates, as popular items do
         rng = np.random.default_rng(B)
-        m = random_model(rng, num_users=300, num_items=1500, d=64, da=64, r=2)
-        users, items = rng.integers(300, size=B), rng.integers(1500, size=(B, 5))
-        self.assert_same_bytes(m, users, items, LossConfig(), _Parts(count, pool))
+        m = random_model(rng, num_users=300, num_items=50, d=64, da=64, r=2)
+        users, items = rng.integers(300, size=B), rng.integers(50, size=(B, 5))
+        self.assert_same_bytes(m, users, items, LossConfig())
 
     @staticmethod
-    def assert_same_bytes(m, users, items, cfg, parts):
-        def run(fn, **kwargs):
+    def assert_same_bytes(m, users, items, cfg):
+        def run(fn):
             try:
-                return fn(m, users, items, cfg, 1.0 / len(users), _row_gradients(m), **kwargs)
+                return fn(m, users, items, cfg, 1.0 / len(users), _row_gradients(m))
             except TrainingDiverged:
                 return None
 
-        got, want = run(_forward_backward, parts=parts), run(old_forward_backward)
+        got, want = run(_forward_backward), run(old_forward_backward)
         assert (got is None) == (want is None)
         if got is None:
             return
@@ -364,10 +354,9 @@ class TestAdamMatchesReference:
         seed=st.integers(0, 2**32 - 1),
         lr=st.sampled_from([0.001, 0.01, 0.1]),
         row_density=st.floats(0.0, 1.0),
-        count=st.sampled_from(PART_COUNTS),
+        chunk=st.integers(1, 60),
     )
-    def test_in_place_step_is_byte_identical(self, pool, shapes, steps, seed, lr, row_density,
-                                             count):
+    def test_in_place_step_is_byte_identical(self, shapes, steps, seed, lr, row_density, chunk):
         rng = np.random.default_rng(seed)
         cfg = LossConfig(learning_rate=lr)
         start = {f"b{i}": rng.normal(0, 1, shape) for i, shape in enumerate(shapes)}
@@ -383,9 +372,11 @@ class TestAdamMatchesReference:
             grad_steps.append(grads)
 
         got = {k: v.copy() for k, v in start.items()}
-        opt = Adam(got, cfg, _Parts(count, pool))
-        for grads in grad_steps:
-            opt.step(got, grads)
+        opt = Adam(got, cfg)
+        # a chunk smaller than a block updates it a few rows at a time
+        with mock.patch.object(trainer, "ADAM_CHUNK", chunk):
+            for grads in grad_steps:
+                opt.step(got, grads)
         want = {k: v.copy() for k, v in start.items()}
         want_m, want_v = reference_adam(want, grad_steps, cfg)
         for k in start:
@@ -437,9 +428,8 @@ class TestGradientBuffers:
         best_reused, hist_reused = run()
         reused_forward_backward = trainer._forward_backward
 
-        def fresh_buffers(model, users, items, cfg, scale, row_grads, **kwargs):
-            return reused_forward_backward(model, users, items, cfg, scale,
-                                           _row_gradients(model), **kwargs)
+        def fresh_buffers(model, users, items, cfg, scale, row_grads):
+            return reused_forward_backward(model, users, items, cfg, scale, _row_gradients(model))
 
         monkeypatch.setattr(trainer, "_forward_backward", fresh_buffers)
         best_fresh, hist_fresh = run()
@@ -448,71 +438,45 @@ class TestGradientBuffers:
             assert block.tobytes() == best_fresh.parameter_blocks()[k].tobytes()
 
 
-class TestSplitSteps:
-    """train() splits each step over worker threads; the count changes no byte."""
+class TestScatterRows:
+    @settings(max_examples=200, deadline=None)
+    @given(num_rows=st.integers(1, 6), row_shape=st.sampled_from([(1,), (3,), (2, 4)]),
+           n=st.integers(0, 40), block=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_add_at(self, num_rows, row_shape, n, block, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(num_rows, size=n)  # rows repeat: the order of additions shows
+        magnitude = rng.choice([1e-9, 1.0, 1e9], size=n).reshape(-1, *[1] * len(row_shape))
+        values = rng.normal(size=(n, *row_shape)) * magnitude
+        values[rng.random(values.shape) < 0.2] = -0.0
+        start = rng.normal(size=(num_rows, *row_shape))
+        start[rng.random(start.shape) < 0.3] = 0.0
+        got, want = start.copy(), start.copy()
+        with mock.patch.object(trainer, "SCATTER_BLOCK", block):
+            _scatter_rows(got, rows, values)
+        np.add.at(want, rows, values)
+        assert got.tobytes() == want.tobytes()
 
-    @staticmethod
-    def run(split, seed=5):
-        cfg = ModelConfig(num_users=split.full.num_users, num_items=split.full.num_items,
-                          embedding_dim=16, attention_dim=8, personas=3)
-        model = init_model(cfg, np.random.default_rng(seed))
-        # 200 events in batches of 64: the last batch has 8 rows
-        loss_cfg = LossConfig(batch_size=64, patience=3, max_epochs=3, learning_rate=0.01)
-        best, history = train(split, model, loss_cfg, np.random.default_rng(seed),
-                              RankingProtocol(num_sampled_negatives=20, cutoff=10))
-        return model, best, history
 
-    @staticmethod
-    def split():
-        data = two_cluster_corpus(seed=6, users_per_side=10, items_per_side=30, history=12)
-        return split_leave_one_out(data)
-
-    def test_one_and_three_parts_give_the_same_bytes(self, monkeypatch):
-        split = self.split()
-        runs = []
-        for count in (1, 3):
-            monkeypatch.setattr(trainer, "_part_count", lambda: count)
-            runs.append(self.run(split))
-        (last_1, best_1, hist_1), (last_3, best_3, hist_3) = runs
-        assert hist_1 == hist_3
-        for k, block in best_1.parameter_blocks().items():
-            assert block.tobytes() == best_3.parameter_blocks()[k].tobytes(), k
-            assert last_1.parameter_blocks()[k].tobytes() == last_3.parameter_blocks()[k].tobytes()
-
-    def test_part_count_is_the_cpus_the_process_may_use(self, monkeypatch):
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert trainer._part_count() == 3
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(64)),
-                            raising=False)
-        assert trainer._part_count() == trainer.MAX_PARTS
-        monkeypatch.delattr(trainer.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(trainer.os, "cpu_count", lambda: None)
-        assert trainer._part_count() == 1
-
+class TestNoThreads:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the diverging batch
-    def test_no_thread_outlives_train(self, monkeypatch):
-        monkeypatch.setattr(trainer, "_part_count", lambda: 3)
+    def test_train_starts_no_thread(self, monkeypatch):
         started = []
-        start = threading.Thread.start
-
-        def record_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", record_start)
-        split = self.split()
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        data = two_cluster_corpus(seed=6, users_per_side=10, items_per_side=30, history=12)
+        split = split_leave_one_out(data)
+        cfg = ModelConfig(num_users=data.num_users, num_items=data.num_items,
+                          embedding_dim=16, attention_dim=8, personas=3)
         before = threading.active_count()
-        self.run(split)
-        assert started and threading.active_count() == before
-        assert not any(thread.is_alive() for thread in started)
+        train(split, init_model(cfg, np.random.default_rng(5)),
+              LossConfig(batch_size=64, max_epochs=2), np.random.default_rng(5),
+              RankingProtocol(num_sampled_negatives=20, cutoff=10))
+        assert started == [] and threading.active_count() == before
 
-        cfg = ModelConfig(num_users=split.full.num_users, num_items=split.full.num_items)
         model = init_model(cfg, np.random.default_rng(0))
         model.item_bias[:] = np.inf
         with pytest.raises(TrainingDiverged, match="epoch 1, batch 0"):
             train(split, model, LossConfig(max_epochs=1), np.random.default_rng(0))
-        assert threading.active_count() == before
-        assert not any(thread.is_alive() for thread in started)
+        assert started == [] and threading.active_count() == before
 
 
 class TestEntropyDynamics:
@@ -592,6 +556,28 @@ class TestTrain:
         assert hist_a == hist_b
         for k, block in best_a.parameter_blocks().items():
             assert block.tobytes() == best_b.parameter_blocks()[k].tobytes()
+
+    def test_each_epoch_trains_on_each_event_once(self, monkeypatch):
+        # batches of 3 cut across users, and user 1 has no training events
+        data = make_interactions([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 10, 11], [1, 5]],
+                                 num_items=12)
+        split = split_leave_one_out(data)
+        rows = [row.tolist() for row in split.train.per_user_items]
+        rows[1] = []
+        split = replace(split, train=make_interactions(rows, num_items=12))
+        seen = []
+        forward_backward = trainer._forward_backward
+
+        def recording(model, users, items, *args, **kwargs):
+            seen.extend(zip(users.tolist(), items[:, 0].tolist()))
+            return forward_backward(model, users, items, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_forward_backward", recording)
+        model = init_model(ModelConfig(num_users=4, num_items=12), np.random.default_rng(0))
+        train(split, model, LossConfig(batch_size=3, patience=2, max_epochs=2),
+              np.random.default_rng(0), self._protocol())
+        events = sorted((u, j) for u, row in enumerate(rows) for j in row)
+        assert sorted(seen[: len(events)]) == sorted(seen[len(events) :]) == events
 
     def test_first_epoch_loss_envelope(self):
         data = two_cluster_corpus(seed=2, users_per_side=10, items_per_side=30, history=10)
