@@ -51,10 +51,6 @@ class RatingFormat:
             if required not in self.columns:
                 raise CorpusError(f"format is missing the {required!r} column")
 
-    @property
-    def has_timestamp(self) -> bool:
-        return "timestamp" in self.columns
-
 
 @dataclass
 class Interactions:
@@ -126,6 +122,10 @@ def load_ratings(path, fmt: RatingFormat = RatingFormat()) -> Interactions:
     file order, stable-sorted by timestamp when the format has one.
     """
     col_pos = {name: i for i, name in enumerate(fmt.columns)}
+    # the loop runs once per line: read every per-line constant once
+    user_pos, item_pos, rating_pos = col_pos["user"], col_pos["item"], col_pos["rating"]
+    ts_pos = col_pos.get("timestamp")
+    min_rating, delimiter, num_columns = fmt.min_rating, fmt.delimiter, len(fmt.columns)
     raw: dict[str, list[tuple[str, float]]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,20 +135,20 @@ def load_ratings(path, fmt: RatingFormat = RatingFormat()) -> Interactions:
                 line = line.rstrip("\n\r")
                 if not line:
                     continue
-                parts = line.split(fmt.delimiter)
-                if len(parts) < len(fmt.columns):
+                parts = line.split(delimiter)
+                if len(parts) < num_columns:
                     raise CorpusError(
-                        f"{path}: line {line_no}: expected {len(fmt.columns)} "
-                        f"{fmt.delimiter!r}-separated fields, got {len(parts)}"
+                        f"{path}: line {line_no}: expected {num_columns} "
+                        f"{delimiter!r}-separated fields, got {len(parts)}"
                     )
                 try:
-                    user = parts[col_pos["user"]]
-                    item = parts[col_pos["item"]]
-                    rating = float(parts[col_pos["rating"]])
-                    ts = float(parts[col_pos["timestamp"]]) if fmt.has_timestamp else 0.0
+                    user = parts[user_pos]
+                    item = parts[item_pos]
+                    rating = float(parts[rating_pos])
+                    ts = float(parts[ts_pos]) if ts_pos is not None else 0.0
                 except ValueError as exc:
                     raise CorpusError(f"{path}: line {line_no}: {exc}") from None
-                if fmt.min_rating is not None and rating < fmt.min_rating:
+                if min_rating is not None and rating < min_rating:
                     continue
                 raw.setdefault(user, []).append((item, ts))
     except UnicodeDecodeError as exc:
@@ -158,9 +158,9 @@ def load_ratings(path, fmt: RatingFormat = RatingFormat()) -> Interactions:
     # keeps each item's first occurrence, in order
     kept: dict[str, list[str]] = {}
     for user, events in raw.items():
-        if fmt.has_timestamp:
+        if ts_pos is not None:
             events.sort(key=lambda e: e[1])
-        items = list(dict.fromkeys(item for item, _ in events))
+        items = list(dict.fromkeys([item for item, _ in events]))
         if len(items) >= 2:
             kept[user] = items
     if not kept:

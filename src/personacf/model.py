@@ -17,6 +17,7 @@ import numpy as np
 from .fields import check_fields
 
 CATALOGUE_MIN = 2048  # smallest pool a scorer serves from the whole catalogue
+MIX_BLOCK = 512  # items per persona-mix block: a (512, d) mix stays in L2
 
 
 class CheckpointError(ValueError):
@@ -74,7 +75,6 @@ class AttentionTrace:
 
     attn_logits: np.ndarray  # (r, m)
     attn_weights: np.ndarray  # (r, m), softmax over personas per item
-    attentive_user: np.ndarray  # (m, d)
     scores: np.ndarray  # (m,)
 
 
@@ -108,7 +108,12 @@ def item_projection(model: PersonaModel) -> np.ndarray:
 def attend(model: PersonaModel, user: int, items=None, projection=None) -> AttentionTrace:
     """The inference forward pass: one user over an array of items, or over
     the whole catalogue when ``items`` is None. ``projection`` is
-    ``item_projection(model)``, built here when not given."""
+    ``item_projection(model)``, built here when not given.
+
+    The logits and the softmax run over all m items at once. The persona
+    mix ``weights.T @ personas`` and its row dot with the item vectors run
+    ``MIX_BLOCK`` items at a time, so the (m, d) mix is never written out
+    whole; each score is the same bytes as from one unblocked product."""
     if projection is None:
         projection = item_projection(model)
     vectors, phi, bias = model.item_vectors, projection, model.item_bias
@@ -119,9 +124,17 @@ def attend(model: PersonaModel, user: int, items=None, projection=None) -> Atten
     psi = personas @ model.attn_user_map  # (r, d_a)
     logits = psi @ phi.T  # (r, m)
     weights = softmax(logits, axis=0)  # (r, m)
-    x = weights.T @ personas  # (m, d)
-    scores = np.einsum("md,md->m", x, vectors) + bias
-    return AttentionTrace(logits, weights, x, scores)
+    m = len(vectors)
+    scores = np.empty(m)
+    # a 1-row product takes another BLAS path than a row of a larger one
+    # and may round differently, so no block starts at m - 1: a 1-row tail
+    # joins the block before it
+    bounds = [*range(0, max(m - 1, 1), MIX_BLOCK), m]
+    for lo, hi in zip(bounds, bounds[1:]):
+        x = weights[:, lo:hi].T @ personas  # (hi - lo, d)
+        np.einsum("md,md->m", x, vectors[lo:hi], out=scores[lo:hi])
+    scores += bias
+    return AttentionTrace(logits, weights, scores)
 
 
 def pool_scores(scores_over, num_items: int, candidates) -> np.ndarray:

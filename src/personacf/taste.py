@@ -62,9 +62,8 @@ def build_taste_space(
     X = R.T  # items as rows, user coordinates as features
     mean = X.mean(axis=0) if center else np.zeros(train.num_users)
     Xc = X - mean
-    # SVD of the centered matrix: right singular vectors are the
-    # principal axes, ordered by decreasing singular value
-    _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+    del R, X  # the peak is then Xc and LAPACK's copy of it
+    s, Vt = principal_axes(Xc)
     avail = min(pca_dims, int(np.count_nonzero(s > s[0] * 1e-12)) if len(s) else 0)
     basis = np.zeros((pca_dims, train.num_users))
     basis[:avail] = Vt[:avail]
@@ -83,6 +82,23 @@ def build_taste_space(
         pca_mean=mean,
         centered=center,
     )
+
+
+def principal_axes(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors (the principal axes, by
+    decreasing singular value) of ``Xc``: ``np.linalg.svd(Xc)[1:]`` without
+    its left vectors.
+
+    LAPACK's ``dgesdd`` factors a matrix with at least ``int(n * 11 / 6)``
+    rows for n columns (its crossover, MNTHR) by QR first and takes the SVD
+    of the n x n R factor. Doing that step here gives the same bytes and
+    never builds the tall left vectors. Below the crossover ``dgesdd``
+    bidiagonalises the matrix itself, so the direct call stays.
+    """
+    rows, cols = Xc.shape
+    if rows >= int(cols * 11 / 6):
+        return np.linalg.svd(np.linalg.qr(Xc, mode="r"), full_matrices=False)[1:]
+    return np.linalg.svd(Xc, full_matrices=False)[1:]
 
 
 def taste_distribution(items, space: TasteSpace) -> np.ndarray:
@@ -179,9 +195,16 @@ def save_taste_space(path, space: TasteSpace) -> None:
 
 
 def load_taste_space(path) -> TasteSpace:
+    """Read a taste space, rejecting one whose item vectors or cluster
+    means hold a NaN or infinity."""
     data = read_npz(path, TasteSpaceError)
     try:
         meta = json.loads(bytes(data.pop("meta")).decode())
-        return TasteSpace(**data, centered=meta["centered"])
+        space = TasteSpace(**data, centered=meta["centered"])
+        bad = [name for name in ("item_vectors", "cluster_means")
+               if not np.isfinite(getattr(space, name)).all()]
     except (KeyError, TypeError, ValueError) as exc:
         raise TasteSpaceError(f"{path} is not a taste space: {exc!r}") from None
+    if bad:
+        raise TasteSpaceError(f"taste space {path}: {bad[0]} holds a non-finite value")
+    return space

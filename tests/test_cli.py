@@ -434,6 +434,44 @@ class TestPipeline:
         assert cache.read_bytes() == fresh_space
         assert report.read_text() == fresh_report
 
+    @staticmethod
+    def _save_nonfinite_space(cfg, out, dest, block, value):
+        """Build the real taste space with ``tdd``, then write a copy to
+        ``dest`` with one entry of ``block`` set to ``value``."""
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz")]) == 0
+        space = load_taste_space(out / "taste_space.npz")
+        getattr(space, block)[-1, 0] = value
+        save_taste_space(dest, space)
+
+    @pytest.mark.parametrize("block,value", [("item_vectors", np.nan),
+                                             ("cluster_means", np.inf)])
+    def test_nonfinite_taste_space_file_is_an_error(self, trained, tmp_path, capsys,
+                                                     block, value):
+        cfg, out = trained
+        bad = tmp_path / "bad.npz"
+        self._save_nonfinite_space(cfg, out, bad, block, value)
+        capsys.readouterr()
+        argv = ["tdd", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                "--taste-space", str(bad)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: taste space {bad}: {block} holds a non-finite value"
+        )
+
+    @pytest.mark.parametrize("block,value", [("item_vectors", np.nan),
+                                             ("cluster_means", np.inf)])
+    def test_nonfinite_default_taste_space_is_rebuilt(self, trained, block, value):
+        cfg, out = trained
+        ckpt = str(out / "checkpoint.npz")
+        cache = out / "taste_space.npz"
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
+        fresh_space = cache.read_bytes()
+        fresh_report = (out / "tdd_report.tsv").read_text()
+        self._save_nonfinite_space(cfg, out, cache, block, value)
+        assert main(["tdd", "-c", str(cfg), "--checkpoint", ckpt]) == 0
+        assert cache.read_bytes() == fresh_space
+        assert (out / "tdd_report.tsv").read_text() == fresh_report
+
     @pytest.mark.parametrize("kind", [*UNREADABLE_NPZ, "no-meta"])
     @pytest.mark.parametrize("command", ["tdd", "aisp"])
     def test_unreadable_taste_space_file_is_an_error(self, trained, tmp_path, capsys,

@@ -42,7 +42,6 @@ def attend_pair(m, user, item):
     return SimpleNamespace(
         attn_logits=t.attn_logits[:, 0],
         attn_weights=t.attn_weights[:, 0],
-        attentive_user=t.attentive_user[0],
         score=float(t.scores[0]),
     )
 
@@ -79,7 +78,8 @@ class TestAttend:
         m = random_model(np.random.default_rng(1), r=1)
         trace = attend_pair(m, 2, 3)
         np.testing.assert_allclose(trace.attn_weights, [1.0])
-        np.testing.assert_allclose(trace.attentive_user, m.personas[2, 0])
+        mixed = float(trace.attn_weights @ m.personas[2] @ m.item_vectors[3] + m.item_bias[3])
+        assert trace.score == pytest.approx(mixed, rel=1e-12)
         expected = float(m.personas[2, 0] @ m.item_vectors[3] + m.item_bias[3])
         assert trace.score == pytest.approx(expected, rel=1e-12)
 
@@ -109,7 +109,8 @@ class TestAttend:
             assert np.all(trace.attn_weights >= 0)
             assert trace.attn_weights.sum() == pytest.approx(1.0, abs=1e-6)
             recombined = trace.attn_weights @ m.personas[0]
-            np.testing.assert_allclose(trace.attentive_user, recombined, atol=1e-12)
+            expected = recombined @ m.item_vectors[item] + m.item_bias[item]
+            assert trace.score == pytest.approx(expected, abs=1e-12)
 
     def test_logit_shift_invariance(self):
         # adding a constant to every logit leaves the softmax unchanged;
@@ -195,6 +196,36 @@ class TestSharedItemProjection:
             trace = attend(m, 1, items, projection)
             assert np.allclose(trace.scores, scores, rtol=0, atol=1e-15)
             assert np.allclose(trace.attn_weights, weights, rtol=0, atol=1e-15)
+
+
+def unblocked_scores(m, user, projection):
+    """The catalogue forward pass with the persona mix in one product, as
+    before ``attend`` mixed ``MIX_BLOCK`` items at a time."""
+    personas = m.personas[user]
+    weights = softmax((personas @ m.attn_user_map) @ projection.T, axis=0)
+    x = weights.T @ personas
+    return np.einsum("md,md->m", x, m.item_vectors) + m.item_bias
+
+
+class TestBlockedMix:
+    """``attend`` mixes the personas a block of items at a time; every
+    score must keep the bytes of the one-product pass, including pools of
+    a 1-row tail block, which joins the block before it."""
+
+    @pytest.mark.parametrize("num_items", [1, 2, 511, 512, 513, 514, 1025, 2049, 9824])
+    @pytest.mark.parametrize("r", [1, 2, 3, 8])
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_same_bytes_as_one_product(self, num_items, r, d):
+        rng = np.random.default_rng([num_items, r, d])
+        m = init_model(ModelConfig(3, num_items, d, d, r), rng)
+        for block in m.parameter_blocks().values():
+            block[...] = rng.normal(0.0, 0.5, block.shape)
+        projection = item_projection(m)
+        for user in range(3):
+            expected = unblocked_scores(m, user, projection)
+            assert attend(m, user, None, projection).scores.tobytes() == expected.tobytes()
+            items = np.arange(num_items)
+            assert attend(m, user, items, projection).scores.tobytes() == expected.tobytes()
 
 
 class TestScoreAllItems:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from personacf.taste import (
     build_taste_space,
     hellinger,
     js_divergence,
+    principal_axes,
     taste_distribution,
     tdd_report,
 )
@@ -219,6 +221,70 @@ class TestBuildTasteSpace:
         assert space.cluster_means.shape == (5, 10)
         assert np.all(np.isfinite(space.item_vectors))
         assert np.all(np.isfinite(space.cluster_means))
+
+
+def centred_binary(rng, rows, cols, density=0.3):
+    X = (rng.random((rows, cols)) < density).astype(float)
+    return X - X.mean(axis=0)
+
+
+def crossover(cols):
+    """dgesdd's MNTHR: from this many rows up it factors by QR first."""
+    return int(cols * 11 / 6)
+
+
+class TestPrincipalAxes:
+    """``principal_axes`` takes the SVD of the R factor on tall matrices;
+    it must give ``np.linalg.svd``'s singular values and axes byte for
+    byte, on each side of the crossover."""
+
+    @pytest.mark.parametrize("cols", [3, 5, 17, 40, 100])
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_same_bytes_next_to_the_crossover(self, cols, offset):
+        X = centred_binary(np.random.default_rng(cols), crossover(cols) + offset, cols)
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
+        got_s, got_Vt = principal_axes(X)
+        assert got_s.tobytes() == s.tobytes()
+        assert got_Vt.tobytes() == Vt.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 17), (16, 17), (40, 300), (300, 300), (2000, 300)])
+    def test_same_bytes_on_wide_square_and_tall_matrices(self, shape):
+        X = centred_binary(np.random.default_rng(sum(shape)), *shape, density=0.05)
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
+        got_s, got_Vt = principal_axes(X)
+        assert got_s.tobytes() == s.tobytes()
+        assert got_Vt.tobytes() == Vt.tobytes()
+
+    def test_rank_deficient_space_pads_the_same_axes(self):
+        # 40 users in 20 identical pairs consume 300 items: rank 20, so
+        # 24 components leave 4 zero-padded
+        rng = np.random.default_rng(7)
+        rows = [rng.choice(300, size=30, replace=False) for _ in range(20)]
+        data = make_interactions([row for row in rows for _ in range(2)], num_items=300)
+        with pytest.warns(UserWarning, match="rank 20 < 24"):
+            space = build_taste_space(data, pca_dims=24, k=3, rng=np.random.default_rng(0))
+        R = np.zeros((data.num_users, data.num_items))
+        R[data.event_users(), data.indices] = 1.0
+        _, _, Vt = np.linalg.svd(R.T - R.T.mean(axis=0), full_matrices=False)
+        expected = np.zeros((24, data.num_users))
+        expected[:20] = Vt[:20]
+        assert space.pca_basis.tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_near_two_matrices(self):
+        # the centred item-by-user matrix and LAPACK's copy of it; the 0/1
+        # matrix it came from is freed before the decomposition
+        rng = np.random.default_rng(0)
+        num_users, num_items = 200, 2000
+        rows = [rng.choice(num_items, size=rng.integers(5, 40), replace=False)
+                for _ in range(num_users)]
+        data = make_interactions(rows, num_items=num_items)
+        tracemalloc.start()
+        try:
+            build_taste_space(data, pca_dims=10, k=5, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * num_items * num_users * 8
 
 
 class TestTasteDistribution:
