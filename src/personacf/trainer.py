@@ -26,8 +26,12 @@ from .ranking import RankingProtocol, evaluate
 
 ENTROPY_CLAMP = 1e-12  # floor inside log only; weights themselves untouched
 # Adam updates about this many values of a block at a time, so the six
-# arrays it passes over stay in a 2 MB L2 cache between its 14 calls:
-# traced train-ml Adam 3.4-4.0 -> 2.5-2.6 s per epoch on a 2-vCPU Xeon
+# arrays it passes over (a chunk of the block, its gradient and moments,
+# and the two scratch buffers) stay in a 2 MB L2 cache between its 14
+# calls: traced train-ml Adam 3.4-4.0 -> 2.5-2.6 s per epoch on a 2-vCPU
+# Xeon. Per train-ml-shaped step (801k values), chunks of 8k/16k/32k/64k/128k
+# values took 5.85/5.40/5.29/5.75/6.19 ms in one sweep and
+# 6.78/6.09/6.09/5.99/6.54 ms in another: 16k-64k are within noise.
 ADAM_CHUNK = 32_768
 SCATTER_BLOCK = 256  # index rows whose flat indices a gradient scatter makes at once
 
@@ -184,14 +188,15 @@ def _forward_backward(
 
 class Adam:
     """Dense Adam over named parameter blocks: every row is updated every
-    step, in place, through preallocated moment and scratch buffers.
+    step, in place, through preallocated moment buffers.
 
     The update is, in this operation order (it fixes the checkpoint
     bytes, so c1 and c2 stay divisors, not reciprocal factors),
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
     param -= lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
     It is elementwise, so a block is updated about ADAM_CHUNK values
-    (whole rows) at a time.
+    (whole rows) at a time, and every chunk of every block reuses one
+    pair of scratch buffers as large as the largest chunk.
     """
 
     def __init__(self, blocks: dict[str, np.ndarray], cfg: LossConfig):
@@ -199,17 +204,22 @@ class Adam:
         self.b1, self.b2, self.eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
         self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in blocks.items()}
+        self._scratch = np.empty((2, 0), np.uint8)  # grown to the largest chunk's bytes
         self.t = 0
 
     def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
         c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
         for k, param in blocks.items():
-            arrays = (param, grads[k], self.m[k], self.v[k], *self._scratch[k])
             rows = max(1, ADAM_CHUNK * len(param) // max(param.size, 1))
+            if param[:rows].nbytes > self._scratch.shape[1]:  # the first chunk is the largest
+                self._scratch = np.empty((2, param[:rows].nbytes), np.uint8)
+            arrays = (param, grads[k], self.m[k], self.v[k])
             for lo in range(0, len(param), rows):
-                self._update(*(x[lo : lo + rows] for x in arrays), c1, c2)
+                chunk = [x[lo : lo + rows] for x in arrays]
+                size, shape = chunk[0].nbytes, chunk[0].shape
+                a, b = (s[:size].view(param.dtype).reshape(shape) for s in self._scratch)
+                self._update(*chunk, a, b, c1, c2)
 
     def _update(self, param, g, m, v, a, b, c1, c2) -> None:
         np.multiply(m, self.b1, out=m)
@@ -318,8 +328,8 @@ def train(
     opt = Adam(model.parameter_blocks(), cfg)
     row_grads = _row_gradients(model)  # reused: re-zeroed on touched rows after each step
     history: list[EpochRecord] = []
-    best = model.copy()
-    best_hr, best_ndcg = -1.0, -1.0
+    # HR is at least 0, so the first epoch always sets best
+    best, best_hr, best_ndcg = None, -1.0, -1.0
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -377,4 +387,4 @@ def train(
         if stale >= cfg.patience:
             break
 
-    return best, history
+    return (model.copy() if best is None else best), history

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import make_interactions, two_taste_corpus
 from personacf.corpus import split_leave_one_out
-from personacf.kmeans import N_INIT, _kmeans_pp_init, _lloyd, _sq_dists, kmeans
+from personacf.kmeans import (
+    N_INIT,
+    SEED_BLOCK,
+    _kmeans_pp_init,
+    _lloyd,
+    _sq_dists,
+    _sq_dists_to,
+    kmeans,
+)
 from personacf.taste import (
     TasteSpace,
     build_taste_space,
@@ -126,8 +134,9 @@ def kmeans_unique_every_call(points, k, rng):
     distinct = np.unique(points, axis=0)
     k = min(k, len(distinct))
     if k == len(distinct):
-        return distinct, _sq_dists(points, sq_norms, distinct).argmin(axis=1), [0.0]
-    restarts = (_lloyd(points, sq_norms, _kmeans_pp_init(points, k, rng)) for _ in range(N_INIT))
+        return distinct, _sq_dists(2.0 * points, sq_norms, distinct).argmin(axis=1), [0.0]
+    restarts = (_lloyd(points, 2.0 * points, sq_norms, _kmeans_pp_init(points, k, rng))
+                for _ in range(N_INIT))
     return min(restarts, key=lambda run: run[2][-1])
 
 
@@ -178,6 +187,45 @@ class TestKMeansMatchesOldCode:
         with np.errstate(invalid="ignore", over="ignore"):
             self.assert_matches_old(points, k, data.draw(st.integers(0, 2**32 - 1)),
                                     old=kmeans_unique_every_call)
+
+
+def seed_block_sizes():
+    # n one below, at and one above a block of rows, for widths that fill a
+    # block with many rows, a few rows and (above SEED_BLOCK) one row each
+    for p in (1, 3, 64, 100, 5_000, SEED_BLOCK + 7):
+        rows = max(1, SEED_BLOCK // p)
+        for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            if n >= 1:
+                yield n, p
+
+
+class TestBlockedDistancesMatchOldCode:
+    @pytest.mark.parametrize("n,p", list(seed_block_sizes()))
+    def test_seed_distances_same_bytes(self, n, p):
+        rng = np.random.default_rng(n * 7 + p)
+        points = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        centroid = points[rng.integers(n)] + rng.normal(size=p)
+        rows = max(1, SEED_BLOCK // p)
+        got = _sq_dists_to(points, centroid, np.empty((min(rows, n), p)), np.empty(n))
+        assert got.tobytes() == np.square(points - centroid).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n,p", [(n, p) for n, p in seed_block_sizes() if p >= 64])
+    def test_kmeans_across_seed_blocks(self, n, p):
+        # the seeding's distances span one, two and three row blocks; the
+        # narrow widths' long blocks are left to the test above, for time
+        points = np.random.default_rng(p).normal(size=(n, p))
+        TestKMeansMatchesOldCode.assert_matches_old(points, max(1, min(n - 1, 6)), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 600), p=st.integers(1, 70), k=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_in_place_sq_dists_same_bytes(self, n, p, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        centroids = rng.normal(size=(k, p))
+        sq_norms = np.square(points).sum(axis=1)
+        want = sq_norms[:, None] - 2.0 * points @ centroids.T + np.square(centroids).sum(axis=1)
+        assert _sq_dists(2.0 * points, sq_norms, centroids).tobytes() == want.tobytes()
 
 
 class TestBuildTasteSpace:

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from dataclasses import astuple, replace
 from unittest import mock
 
@@ -346,6 +347,40 @@ block_shapes = st.lists(
 )
 
 
+def row_sparse_grad_steps(rng, blocks, steps, row_density):
+    """Per-step gradients that are row-sparse, as a batch touches some
+    rows; untouched rows are all zero."""
+    grad_steps = []
+    for _ in range(steps):
+        grads = {}
+        for k, block in blocks.items():
+            touched = rng.random(block.shape[0]) < row_density
+            g = np.zeros_like(block)
+            g[touched] = rng.normal(0, 1, g[touched].shape)
+            grads[k] = g
+        grad_steps.append(grads)
+    return grad_steps
+
+
+def assert_adam_matches_reference(start, grad_steps, cfg, step_chunk, build_chunk=None):
+    """Adam built under ``build_chunk`` (None: the default ADAM_CHUNK) and
+    stepped under ``step_chunk`` leaves the reference's parameter and
+    moment bytes."""
+    got = {k: v.copy() for k, v in start.items()}
+    with mock.patch.object(trainer, "ADAM_CHUNK", build_chunk or trainer.ADAM_CHUNK):
+        opt = Adam(got, cfg)
+    # a chunk smaller than a block updates it a few rows at a time
+    with mock.patch.object(trainer, "ADAM_CHUNK", step_chunk):
+        for grads in grad_steps:
+            opt.step(got, grads)
+    want = {k: v.copy() for k, v in start.items()}
+    want_m, want_v = reference_adam(want, grad_steps, cfg)
+    for k in start:
+        assert got[k].tobytes() == want[k].tobytes()
+        assert opt.m[k].tobytes() == want_m[k].tobytes()
+        assert opt.v[k].tobytes() == want_v[k].tobytes()
+
+
 class TestAdamMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -358,31 +393,39 @@ class TestAdamMatchesReference:
     )
     def test_in_place_step_is_byte_identical(self, shapes, steps, seed, lr, row_density, chunk):
         rng = np.random.default_rng(seed)
-        cfg = LossConfig(learning_rate=lr)
         start = {f"b{i}": rng.normal(0, 1, shape) for i, shape in enumerate(shapes)}
-        grad_steps = []
-        for _ in range(steps):
-            grads = {}
-            for k, block in start.items():
-                # row-sparse, as a batch touches some rows; untouched rows are all zero
-                touched = rng.random(block.shape[0]) < row_density
-                g = np.zeros_like(block)
-                g[touched] = rng.normal(0, 1, g[touched].shape)
-                grads[k] = g
-            grad_steps.append(grads)
+        grad_steps = row_sparse_grad_steps(rng, start, steps, row_density)
+        assert_adam_matches_reference(start, grad_steps, LossConfig(learning_rate=lr), chunk)
 
-        got = {k: v.copy() for k, v in start.items()}
-        opt = Adam(got, cfg)
-        # a chunk smaller than a block updates it a few rows at a time
-        with mock.patch.object(trainer, "ADAM_CHUNK", chunk):
-            for grads in grad_steps:
-                opt.step(got, grads)
-        want = {k: v.copy() for k, v in start.items()}
-        want_m, want_v = reference_adam(want, grad_steps, cfg)
-        for k in start:
-            assert got[k].tobytes() == want[k].tobytes()
-            assert opt.m[k].tobytes() == want_m[k].tobytes()
-            assert opt.v[k].tobytes() == want_v[k].tobytes()
+    @pytest.mark.parametrize("shapes,chunk", [
+        ([(1, 61)], 60),  # one row wider than the chunk
+        ([(3, 61), (5, 2)], 60),
+        ([(1, trainer.ADAM_CHUNK + 5)], trainer.ADAM_CHUNK),
+        ([(2, 3, trainer.ADAM_CHUNK // 2)], trainer.ADAM_CHUNK),
+    ])
+    def test_row_wider_than_chunk(self, shapes, chunk):
+        rng = np.random.default_rng(len(shapes) + chunk)
+        start = {f"b{i}": rng.normal(0, 1, shape) for i, shape in enumerate(shapes)}
+        grad_steps = row_sparse_grad_steps(rng, start, 5, 0.7)
+        assert_adam_matches_reference(start, grad_steps, LossConfig(learning_rate=0.01), chunk)
+
+    @pytest.mark.parametrize("build_chunk,step_chunk", [(1, 60), (60, 1), (7, 7), (1, 10**6)])
+    def test_chunk_patched_before_build(self, build_chunk, step_chunk):
+        # scratch sized under one chunk must serve a step under another
+        rng = np.random.default_rng(build_chunk)
+        shapes = [(7, 5), (3, 4, 6), (11,), (2, 40)]
+        start = {f"b{i}": rng.normal(0, 1, shape) for i, shape in enumerate(shapes)}
+        grad_steps = row_sparse_grad_steps(rng, start, 20, 0.5)
+        assert_adam_matches_reference(start, grad_steps, LossConfig(learning_rate=0.1),
+                                      step_chunk, build_chunk)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 200), chunk=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_one_dimensional_block(self, n, chunk, seed):
+        rng = np.random.default_rng(seed)
+        start = {"bias": rng.normal(0, 1, n), "rows": rng.normal(0, 1, (n, 3))}
+        grad_steps = row_sparse_grad_steps(rng, start, 30, 0.5)
+        assert_adam_matches_reference(start, grad_steps, LossConfig(learning_rate=0.01), chunk)
 
 
 class TestGradientBuffers:
@@ -590,6 +633,42 @@ class TestTrain:
         bound = math.log(5) + (1 - loss_cfg.alpha) * loss_cfg.lambda_pos * math.log(2) + 0.5
         assert np.isfinite(history[0].total_loss)
         assert history[0].total_loss < bound
+
+    def test_peak_memory_of_an_epoch_stays_near_four_models(self):
+        # Adam's two moments, the row gradients and the best-epoch copy are
+        # one model's bytes each; Adam's scratch is two chunks, not two models
+        rng = np.random.default_rng(0)
+        num_users, num_items = 100, 20_000
+        rows = [rng.choice(num_items, size=rng.integers(10, 60), replace=False).tolist()
+                for _ in range(num_users)]
+        split = split_leave_one_out(make_interactions(rows, num_items=num_items))
+        cfg = ModelConfig(num_users=num_users, num_items=num_items,
+                          embedding_dim=16, attention_dim=8)
+        model = init_model(cfg, np.random.default_rng(0))
+        model_bytes = sum(block.nbytes for block in model.parameter_blocks().values())
+        loss_cfg = LossConfig(batch_size=32, negatives_per_positive=20, patience=0, max_epochs=1)
+        tracemalloc.start()
+        try:
+            train(split, model, loss_cfg, np.random.default_rng(0),
+                  RankingProtocol(num_sampled_negatives=20, cutoff=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * model_bytes
+
+    def test_no_epoch_returns_a_copy_of_the_model(self):
+        data = two_cluster_corpus(seed=0, users_per_side=5, items_per_side=20, history=6)
+        split = split_leave_one_out(data)
+        model = init_model(ModelConfig(num_users=data.num_users, num_items=data.num_items,
+                                       embedding_dim=8, attention_dim=8),
+                           np.random.default_rng(0))
+        loss_cfg = LossConfig()
+        loss_cfg.max_epochs = 0  # mutated after the field check
+        best, history = train(split, model, loss_cfg, np.random.default_rng(0), self._protocol())
+        assert history == []
+        assert best is not model
+        for k, block in model.parameter_blocks().items():
+            assert best.parameter_blocks()[k].tobytes() == block.tobytes()
 
     def test_separable_corpus_reaches_high_hit_rate(self):
         data = two_cluster_corpus(seed=3)
