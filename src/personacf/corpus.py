@@ -28,8 +28,8 @@ class RatingFormat:
 
     ``columns`` names the fields in file order; "user", "item" and
     "rating" are required, "timestamp" is optional. Extra trailing
-    columns in the file are ignored. Rows rated below ``min_rating`` are
-    dropped; None keeps every row.
+    columns in the file are ignored. Rows rated below ``min_rating`` or NaN
+    are dropped; None keeps every row.
     """
 
     delimiter: str = "\t"
@@ -148,7 +148,9 @@ def load_ratings(path, fmt: RatingFormat = RatingFormat()) -> Interactions:
                     ts = float(parts[ts_pos]) if ts_pos is not None else 0.0
                 except ValueError as exc:
                     raise CorpusError(f"{path}: line {line_no}: {exc}") from None
-                if min_rating is not None and rating < min_rating:
+                if ts != ts:  # a NaN key would leave the user's history unsorted
+                    raise CorpusError(f"{path}: line {line_no}: timestamp is NaN")
+                if min_rating is not None and not rating >= min_rating:  # drops NaN
                     continue
                 raw.setdefault(user, []).append((item, ts))
     except UnicodeDecodeError as exc:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import block_rows
+
 N_INIT = 3  # k-means++ restarts; the lowest final objective wins
 MAX_ITER = 300  # Lloyd iterations per restart
 TOL = 1e-6  # a restart stops once every centroid coordinate moves less than this
-SEED_BLOCK = 32_768  # values of the points a k-means++ seed measures at a time
 
 
 def _sq_dists(twice_points, sq_norms, centroids):
@@ -32,8 +33,7 @@ def _sq_dists_to(points, centroid, diff, out):
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
-    # one block of about SEED_BLOCK values buffers every seed's distances
-    diff = np.empty_like(points[: max(1, SEED_BLOCK // max(points.shape[1], 1))])
+    diff = np.empty_like(points[: block_rows(points.shape[1])])
     d2, dist = np.empty(n), np.empty(n)
     centroids[0] = points[rng.integers(n)]
     _sq_dists_to(points, centroids[0], diff, d2)

@@ -17,7 +17,17 @@ import numpy as np
 from .fields import check_fields
 
 CATALOGUE_MIN = 2048  # smallest pool a scorer serves from the whole catalogue
-MIX_BLOCK = 512  # items per persona-mix block: a (512, d) mix stays in L2
+# Values a blocked loop (the persona mix, Adam, the gradient scatters,
+# k-means++ seeding) handles at a time, so its operands stay in a 2 MB L2
+# cache. Adam steps of 801k values (train-ml) with blocks of 8k/16k/32k/64k/128k
+# values took 5.85/5.40/5.29/5.75/6.19 and 6.78/6.09/6.09/5.99/6.54 ms in two sweeps.
+BLOCK_VALUES = 32_768
+
+
+def block_rows(row_values: int) -> int:
+    """Rows of ``row_values`` values in one block; at least 2, since a
+    1-row product takes another BLAS path than a row of a larger one."""
+    return max(2, BLOCK_VALUES // max(row_values, 1))
 
 
 class CheckpointError(ValueError):
@@ -73,7 +83,6 @@ class PersonaModel:
 class AttentionTrace:
     """One user's forward pass over an item array (m items)."""
 
-    attn_logits: np.ndarray  # (r, m)
     attn_weights: np.ndarray  # (r, m), softmax over personas per item
     scores: np.ndarray  # (m,)
 
@@ -112,8 +121,8 @@ def attend(model: PersonaModel, user: int, items=None, projection=None) -> Atten
 
     The logits and the softmax run over all m items at once. The persona
     mix ``weights.T @ personas`` and its row dot with the item vectors run
-    ``MIX_BLOCK`` items at a time, so the (m, d) mix is never written out
-    whole; each score is the same bytes as from one unblocked product."""
+    ``block_rows(d)`` items at a time, so the (m, d) mix is never written
+    out whole; each score is the same bytes as from one unblocked product."""
     if projection is None:
         projection = item_projection(model)
     vectors, phi, bias = model.item_vectors, projection, model.item_bias
@@ -126,15 +135,13 @@ def attend(model: PersonaModel, user: int, items=None, projection=None) -> Atten
     weights = softmax(logits, axis=0)  # (r, m)
     m = len(vectors)
     scores = np.empty(m)
-    # a 1-row product takes another BLAS path than a row of a larger one
-    # and may round differently, so no block starts at m - 1: a 1-row tail
-    # joins the block before it
-    bounds = [*range(0, max(m - 1, 1), MIX_BLOCK), m]
+    # no block starts at m - 1: a 1-row tail joins the block before it
+    bounds = [*range(0, max(m - 1, 1), block_rows(personas.shape[1])), m]
     for lo, hi in zip(bounds, bounds[1:]):
         x = weights[:, lo:hi].T @ personas  # (hi - lo, d)
         np.einsum("md,md->m", x, vectors[lo:hi], out=scores[lo:hi])
     scores += bias
-    return AttentionTrace(logits, weights, scores)
+    return AttentionTrace(weights, scores)
 
 
 def pool_scores(scores_over, num_items: int, candidates) -> np.ndarray:

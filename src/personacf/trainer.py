@@ -21,19 +21,10 @@ import numpy as np
 
 from .corpus import CorpusError, Interactions, SamplingTable, Split, build_sampling_table
 from .fields import check_fields
-from .model import PersonaModel, model_scorer, softmax
+from .model import PersonaModel, block_rows, model_scorer, softmax
 from .ranking import RankingProtocol, evaluate
 
 ENTROPY_CLAMP = 1e-12  # floor inside log only; weights themselves untouched
-# Adam updates about this many values of a block at a time, so the six
-# arrays it passes over (a chunk of the block, its gradient and moments,
-# and the two scratch buffers) stay in a 2 MB L2 cache between its 14
-# calls: traced train-ml Adam 3.4-4.0 -> 2.5-2.6 s per epoch on a 2-vCPU
-# Xeon. Per train-ml-shaped step (801k values), chunks of 8k/16k/32k/64k/128k
-# values took 5.85/5.40/5.29/5.75/6.19 ms in one sweep and
-# 6.78/6.09/6.09/5.99/6.54 ms in another: 16k-64k are within noise.
-ADAM_CHUNK = 32_768
-SCATTER_BLOCK = 256  # index rows whose flat indices a gradient scatter makes at once
 
 
 class TrainingDiverged(RuntimeError):
@@ -100,14 +91,14 @@ def _zero_touched_rows(
 def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``np.add.at(out, rows, values)`` for whole rows of a C-ordered
     ``out``, through the faster 1-D path of ``np.add.at``: the same
-    additions in the same order. The flat indices are made SCATTER_BLOCK
+    additions in the same order. The flat indices are made a block of
     rows at a time, to bound their memory."""
     width = out[0].size
-    flat_out, columns = out.reshape(-1), np.arange(width)
+    flat_out, columns, step = out.reshape(-1), np.arange(width), block_rows(width)
     values = values.reshape(len(rows), width)
-    for lo in range(0, len(rows), SCATTER_BLOCK):
-        flat = (rows[lo : lo + SCATTER_BLOCK, None] * width + columns).ravel()
-        np.add.at(flat_out, flat, values[lo : lo + SCATTER_BLOCK].ravel())
+    for lo in range(0, len(rows), step):
+        flat = (rows[lo : lo + step, None] * width + columns).ravel()
+        np.add.at(flat_out, flat, values[lo : lo + step].ravel())
 
 
 def _forward_backward(
@@ -194,9 +185,9 @@ class Adam:
     bytes, so c1 and c2 stay divisors, not reciprocal factors),
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
     param -= lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
-    It is elementwise, so a block is updated about ADAM_CHUNK values
-    (whole rows) at a time, and every chunk of every block reuses one
-    pair of scratch buffers as large as the largest chunk.
+    It is elementwise, so a block is updated ``block_rows`` whole rows at a
+    time, and every chunk of every block reuses one pair of scratch
+    buffers as large as the largest chunk.
     """
 
     def __init__(self, blocks: dict[str, np.ndarray], cfg: LossConfig):
@@ -211,7 +202,7 @@ class Adam:
         self.t += 1
         c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
         for k, param in blocks.items():
-            rows = max(1, ADAM_CHUNK * len(param) // max(param.size, 1))
+            rows = block_rows(param[:1].size)
             if param[:rows].nbytes > self._scratch.shape[1]:  # the first chunk is the largest
                 self._scratch = np.empty((2, param[:rows].nbytes), np.uint8)
             arrays = (param, grads[k], self.m[k], self.v[k])

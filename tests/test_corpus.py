@@ -72,10 +72,20 @@ class TestLoadRatings:
         data = load_ratings(path, fmt)
         assert [data.item_ids[j] for j in data.per_user_items[0]] == ["z", "a", "m"]
 
+    def test_timestamp_order_refuses_nan(self, tmp_path):
+        # sorted on a NaN key the history would keep file order (a, b, c, d),
+        # so the held-out test item would be d, or a if b came first
+        path = write_ratings(
+            tmp_path, [("u", "a", 5, 3), ("u", "b", 5, "nan"), ("u", "c", 5, 1), ("u", "d", 5, 2)]
+        )
+        with pytest.raises(CorpusError, match=f"{path}: line 2: timestamp is NaN"):
+            load_ratings(path, TAB)
+
     def test_min_rating_filter(self, tmp_path):
         path = write_ratings(
             tmp_path,
-            [("u", "a", 1, 1), ("u", "b", 5, 2), ("u", "c", 4, 3), ("v", "a", 5, 1), ("v", "b", 5, 2)],
+            [("u", "a", 1, 1), ("u", "b", 5, 2), ("u", "c", 4, 3), ("u", "e", "nan", 4),
+             ("v", "a", 5, 1), ("v", "b", 5, 2)],
         )
         data = load_ratings(path, replace(TAB, min_rating=4.0))
         u = data.user_index["u"]

@@ -13,6 +13,7 @@ from personacf.model import (
     CheckpointError,
     ModelConfig,
     attend,
+    block_rows,
     init_model,
     item_projection,
     load_checkpoint,
@@ -40,7 +41,6 @@ def attend_pair(m, user, item):
     """attend() on a single item, with the item axis squeezed out."""
     t = attend(m, user, [item])
     return SimpleNamespace(
-        attn_logits=t.attn_logits[:, 0],
         attn_weights=t.attn_weights[:, 0],
         score=float(t.scores[0]),
     )
@@ -118,7 +118,8 @@ class TestAttend:
         rng = np.random.default_rng(4)
         m = random_model(rng)
         trace = attend_pair(m, 1, 2)
-        shifted = np.exp(trace.attn_logits + 123.0 - (trace.attn_logits + 123.0).max())
+        logits = ((m.personas[1] @ m.attn_user_map) @ item_projection(m)[[2]].T)[:, 0]
+        shifted = np.exp(logits + 123.0 - (logits + 123.0).max())
         np.testing.assert_allclose(trace.attn_weights, shifted / shifted.sum(), atol=1e-9)
 
     def test_item_map_scaling_keeps_argmax(self):
@@ -200,11 +201,23 @@ class TestSharedItemProjection:
 
 def unblocked_scores(m, user, projection):
     """The catalogue forward pass with the persona mix in one product, as
-    before ``attend`` mixed ``MIX_BLOCK`` items at a time."""
+    before ``attend`` mixed ``block_rows(d)`` items at a time."""
     personas = m.personas[user]
     weights = softmax((personas @ m.attn_user_map) @ projection.T, axis=0)
     x = weights.T @ personas
     return np.einsum("md,md->m", x, m.item_vectors) + m.item_bias
+
+
+def mix_sizes():
+    # pools one below, at, one and two above a block of rows and a 1-row
+    # tail after two blocks, with the sizes pinned when a block was 512
+    # items for every d, and the 9,824-item bench catalogue
+    for d in (4, 64):
+        rows = block_rows(d)
+        for r in (1, 2, 3, 8):
+            for n in sorted({1, 2, 511, 512, 513, 514, 1025, 2049, 9824,
+                             rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1}):
+                yield d, r, n
 
 
 class TestBlockedMix:
@@ -212,10 +225,8 @@ class TestBlockedMix:
     score must keep the bytes of the one-product pass, including pools of
     a 1-row tail block, which joins the block before it."""
 
-    @pytest.mark.parametrize("num_items", [1, 2, 511, 512, 513, 514, 1025, 2049, 9824])
-    @pytest.mark.parametrize("r", [1, 2, 3, 8])
-    @pytest.mark.parametrize("d", [4, 64])
-    def test_same_bytes_as_one_product(self, num_items, r, d):
+    @pytest.mark.parametrize("d,r,num_items", list(mix_sizes()))
+    def test_same_bytes_as_one_product(self, d, r, num_items):
         rng = np.random.default_rng([num_items, r, d])
         m = init_model(ModelConfig(3, num_items, d, d, r), rng)
         for block in m.parameter_blocks().values():

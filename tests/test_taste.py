@@ -10,13 +10,13 @@ from conftest import make_interactions, two_taste_corpus
 from personacf.corpus import split_leave_one_out
 from personacf.kmeans import (
     N_INIT,
-    SEED_BLOCK,
     _kmeans_pp_init,
     _lloyd,
     _sq_dists,
     _sq_dists_to,
     kmeans,
 )
+from personacf.model import BLOCK_VALUES, block_rows
 from personacf.taste import (
     TasteSpace,
     build_taste_space,
@@ -191,9 +191,9 @@ class TestKMeansMatchesOldCode:
 
 def seed_block_sizes():
     # n one below, at and one above a block of rows, for widths that fill a
-    # block with many rows, a few rows and (above SEED_BLOCK) one row each
-    for p in (1, 3, 64, 100, 5_000, SEED_BLOCK + 7):
-        rows = max(1, SEED_BLOCK // p)
+    # block with many rows, a few rows and (above BLOCK_VALUES) the 2-row floor
+    for p in (1, 3, 64, 100, 5_000, BLOCK_VALUES + 7):
+        rows = block_rows(p)
         for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
             if n >= 1:
                 yield n, p
@@ -205,7 +205,7 @@ class TestBlockedDistancesMatchOldCode:
         rng = np.random.default_rng(n * 7 + p)
         points = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
         centroid = points[rng.integers(n)] + rng.normal(size=p)
-        rows = max(1, SEED_BLOCK // p)
+        rows = block_rows(p)
         got = _sq_dists_to(points, centroid, np.empty((min(rows, n), p)), np.empty(n))
         assert got.tobytes() == np.square(points - centroid).sum(axis=1).tobytes()
 

@@ -9,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loss_and_grads, make_interactions, sgd_step, two_cluster_corpus
-from personacf import trainer
+from conftest import (
+    loss_and_grads,
+    make_interactions,
+    sgd_step,
+    two_cluster_corpus,
+    two_taste_corpus,
+)
+from personacf import model as model_module, trainer
 from personacf.corpus import split_leave_one_out
 from personacf.model import ModelConfig, attend, init_model, model_scorer, softmax
 from personacf.ranking import RankingProtocol, evaluate
+from personacf.taste import build_taste_space, tdd_report
 from personacf.trainer import (
     ENTROPY_CLAMP,
     Adam,
@@ -363,14 +370,15 @@ def row_sparse_grad_steps(rng, blocks, steps, row_density):
 
 
 def assert_adam_matches_reference(start, grad_steps, cfg, step_chunk, build_chunk=None):
-    """Adam built under ``build_chunk`` (None: the default ADAM_CHUNK) and
-    stepped under ``step_chunk`` leaves the reference's parameter and
-    moment bytes."""
+    """Adam built under a ``BLOCK_VALUES`` of ``build_chunk`` (None: the
+    default) and stepped under ``step_chunk`` leaves the reference's
+    parameter and moment bytes."""
     got = {k: v.copy() for k, v in start.items()}
-    with mock.patch.object(trainer, "ADAM_CHUNK", build_chunk or trainer.ADAM_CHUNK):
+    with mock.patch.object(model_module, "BLOCK_VALUES",
+                           build_chunk or model_module.BLOCK_VALUES):
         opt = Adam(got, cfg)
     # a chunk smaller than a block updates it a few rows at a time
-    with mock.patch.object(trainer, "ADAM_CHUNK", step_chunk):
+    with mock.patch.object(model_module, "BLOCK_VALUES", step_chunk):
         for grads in grad_steps:
             opt.step(got, grads)
     want = {k: v.copy() for k, v in start.items()}
@@ -400,8 +408,8 @@ class TestAdamMatchesReference:
     @pytest.mark.parametrize("shapes,chunk", [
         ([(1, 61)], 60),  # one row wider than the chunk
         ([(3, 61), (5, 2)], 60),
-        ([(1, trainer.ADAM_CHUNK + 5)], trainer.ADAM_CHUNK),
-        ([(2, 3, trainer.ADAM_CHUNK // 2)], trainer.ADAM_CHUNK),
+        ([(1, model_module.BLOCK_VALUES + 5)], model_module.BLOCK_VALUES),
+        ([(2, 3, model_module.BLOCK_VALUES // 2)], model_module.BLOCK_VALUES),
     ])
     def test_row_wider_than_chunk(self, shapes, chunk):
         rng = np.random.default_rng(len(shapes) + chunk)
@@ -494,10 +502,35 @@ class TestScatterRows:
         start = rng.normal(size=(num_rows, *row_shape))
         start[rng.random(start.shape) < 0.3] = 0.0
         got, want = start.copy(), start.copy()
-        with mock.patch.object(trainer, "SCATTER_BLOCK", block):
+        with mock.patch.object(model_module, "BLOCK_VALUES", block):
             _scatter_rows(got, rows, values)
         np.add.at(want, rows, values)
         assert got.tobytes() == want.tobytes()
+
+
+class TestBlockBudget:
+    """No output depends on how many values a blocked loop takes at a time:
+    the persona mix, Adam, the gradient scatters and k-means++ seeding
+    keep their bytes down to the 2-row floor of ``block_rows``."""
+
+    @staticmethod
+    def outputs():
+        data, _, _ = two_taste_corpus()
+        split = split_leave_one_out(data)
+        cfg = ModelConfig(num_users=data.num_users, num_items=data.num_items,
+                          embedding_dim=16, attention_dim=8, personas=2)
+        best, history = train(split, init_model(cfg, np.random.default_rng(0)),
+                              LossConfig(batch_size=64, max_epochs=2), np.random.default_rng(0))
+        space = build_taste_space(split.train, pca_dims=20, k=6, rng=np.random.default_rng(0))
+        report = tdd_report(model_scorer(best), split, space)
+        blocks = {k: v.tobytes() for k, v in best.parameter_blocks().items()}
+        return blocks, history, space.item_vectors.tobytes(), space.cluster_means.tobytes(), report
+
+    def test_outputs_do_not_depend_on_the_budget(self):
+        want = self.outputs()
+        for budget in (1, 7, 64):
+            with mock.patch.object(model_module, "BLOCK_VALUES", budget):
+                assert self.outputs() == want, budget
 
 
 class TestNoThreads:
