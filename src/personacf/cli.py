@@ -76,25 +76,13 @@ def _tdd_report(cfg: RunConfig, scorer, split, space, path: Path):
 
 
 def _taste_space_for(cfg: RunConfig, split, out_dir: Path, cache: str | None):
-    """The persisted taste space if it reads, its shapes fit the corpus and
-    it has a cluster mean, else a new one saved in its place. An unreadable
-    or mismatched ``--taste-space`` file is an error."""
+    """The persisted taste space if it loads and fits the corpus, else a
+    new one saved in its place. A ``--taste-space`` file that does not
+    load or fit is an error."""
     cache_path = Path(cache) if cache else out_dir / "taste_space.npz"
     if cache_path.exists():
         try:
-            space = taste_mod.load_taste_space(cache_path)
-            vectors, means = space.item_vectors, space.cluster_means
-            if (
-                vectors.ndim == means.ndim == 2
-                and vectors.shape[0] == split.train.num_items
-                and means.shape[0] >= 1
-                and means.shape[1] == vectors.shape[1]
-            ):
-                return space
-            raise TasteSpaceError(
-                f"taste space {cache_path} has item vectors {vectors.shape} and "
-                f"cluster means {means.shape}; the dataset has {split.train.num_items} items"
-            )
+            return taste_mod.load_taste_space(cache_path, split.train)
         except TasteSpaceError:
             if cache:
                 raise
@@ -146,21 +134,6 @@ def cmd_train(cfg: RunConfig, args, split, model) -> int:
     )
     print(f"checkpoint written to {ckpt_path}")
     return 0
-
-
-def _load_model_checked(path, split):
-    model, _ = load_checkpoint(path)
-    data = split.full
-    if (
-        model.config.num_users != data.num_users
-        or model.config.num_items != data.num_items
-    ):
-        raise ConfigError(
-            f"checkpoint shape ({model.config.num_users} users, "
-            f"{model.config.num_items} items) does not match the dataset "
-            f"({data.num_users} users, {data.num_items} items)"
-        )
-    return model
 
 
 def cmd_eval(cfg: RunConfig, args, split, model) -> int:
@@ -274,7 +247,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         split = _load_split(cfg)
-        model = _load_model_checked(args.checkpoint, split) if "checkpoint" in args else None
+        model = load_checkpoint(args.checkpoint, split.full)[0] if "checkpoint" in args else None
         return args.fn(cfg, args, split, model)
     except (CheckpointError, ConfigError, CorpusError, TasteSpaceError,
             FileNotFoundError, IsADirectoryError) as exc:

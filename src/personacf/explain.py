@@ -81,11 +81,12 @@ def render_markdown(
     item_ids: list[str] | None = None,
     titles: dict[str, str] | None = None,
 ) -> str:
-    """Human-readable markdown; item titles resolved when provided."""
+    """Human-readable markdown; item titles resolved when provided. A ``|``
+    in a name is escaped, so it stays in its table cell."""
 
     def name(j: int) -> str:
         ext = item_ids[j] if item_ids else str(j)
-        return titles.get(ext, ext) if titles else ext
+        return (titles.get(ext, ext) if titles else ext).replace("|", r"\|")
 
     lines = [f"# Recommendations for user {report.user}", ""]
     for k, plist in enumerate(report.persona_lists):

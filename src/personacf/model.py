@@ -211,10 +211,12 @@ def read_npz(path, error: type[Exception]) -> dict[str, np.ndarray]:
         raise error(f"{path} is not a readable .npz file: {exc}") from None
 
 
-def load_checkpoint(path) -> tuple[PersonaModel, dict]:
+def load_checkpoint(path, corpus=None) -> tuple[PersonaModel, dict]:
     """Read a checkpoint, checking its stored config against the field
     contract and every block's shape, float dtype and finiteness against
-    that config."""
+    that config. Given ``corpus`` (an ``Interactions``), the stored user
+    and item counts, and the stored ids unless they are null, must be the
+    corpus's."""
     data = read_npz(path, CheckpointError)
     try:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -242,4 +244,14 @@ def load_checkpoint(path) -> tuple[PersonaModel, dict]:
             )
         if not np.isfinite(block).all():
             raise CheckpointError(f"{path}: block {name!r} holds a non-finite value")
+    if corpus is not None:
+        if (config.num_users, config.num_items) != (corpus.num_users, corpus.num_items):
+            raise CheckpointError(
+                f"checkpoint shape ({config.num_users} users, {config.num_items} items) does "
+                f"not match the dataset ({corpus.num_users} users, {corpus.num_items} items)"
+            )
+        for kind in ("user", "item"):
+            stored = meta.get(f"{kind}_ids")
+            if stored is not None and stored != getattr(corpus, f"{kind}_ids"):
+                raise CheckpointError(f"{path}: the stored {kind} ids are not the dataset's")
     return PersonaModel(config=config, **{name: data[name] for name in shapes}), meta

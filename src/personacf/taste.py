@@ -57,12 +57,12 @@ def build_taste_space(
     If the matrix rank falls short of ``pca_dims`` the trailing
     components are zero-padded with a warning.
     """
-    R = np.zeros((train.num_users, train.num_items))
-    R[train.event_users(), train.indices] = 1.0
-    X = R.T  # items as rows, user coordinates as features
-    mean = X.mean(axis=0) if center else np.zeros(train.num_users)
-    Xc = X - mean
-    del R, X  # the peak is then Xc and LAPACK's copy of it
+    # items as rows, user coordinates as features: a Fortran-order matrix,
+    # centred in place (a C-order build gives other bytes)
+    Xc = np.zeros((train.num_users, train.num_items)).T
+    Xc[train.indices, train.event_users()] = 1.0
+    mean = Xc.mean(axis=0) if center else np.zeros(train.num_users)
+    Xc -= mean
     s, Vt = principal_axes(Xc)
     avail = min(pca_dims, int(np.count_nonzero(s > s[0] * 1e-12)) if len(s) else 0)
     basis = np.zeros((pca_dims, train.num_users))
@@ -194,9 +194,11 @@ def save_taste_space(path, space: TasteSpace) -> None:
     )
 
 
-def load_taste_space(path) -> TasteSpace:
+def load_taste_space(path, train: Interactions | None = None) -> TasteSpace:
     """Read a taste space, rejecting one whose item vectors or cluster
-    means hold a NaN or infinity."""
+    means hold a NaN or infinity. Given ``train``, the space must also fit
+    it: 2-D blocks, one item vector per item and at least one cluster mean
+    as wide as the item vectors."""
     data = read_npz(path, TasteSpaceError)
     try:
         meta = json.loads(bytes(data.pop("meta")).decode())
@@ -207,4 +209,15 @@ def load_taste_space(path) -> TasteSpace:
         raise TasteSpaceError(f"{path} is not a taste space: {exc!r}") from None
     if bad:
         raise TasteSpaceError(f"taste space {path}: {bad[0]} holds a non-finite value")
+    vectors, means = space.item_vectors, space.cluster_means
+    if train is not None and not (
+        vectors.ndim == means.ndim == 2
+        and vectors.shape[0] == train.num_items
+        and means.shape[0] >= 1
+        and means.shape[1] == vectors.shape[1]
+    ):
+        raise TasteSpaceError(
+            f"taste space {path} has item vectors {vectors.shape} and "
+            f"cluster means {means.shape}; the dataset has {train.num_items} items"
+        )
     return space

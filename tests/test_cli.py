@@ -155,6 +155,23 @@ class TestErrors:
                      "--checkpoint", str(out / "checkpoint.npz")]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_checkpoint_ids_must_match_the_dataset(self, tmp_path, ratings_file, capsys):
+        # the same rows with the user blocks reversed: equal counts, but
+        # users (and items) get other dense indices
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, ratings_file, out)
+        assert main(["train", "-c", str(cfg)]) == 0
+        lines = ratings_file.read_text().splitlines()
+        blocks = [lines[i:i + 6] for i in range(0, len(lines), 6)]  # 6 events per user
+        reordered = tmp_path / "reordered.tsv"
+        reordered.write_text("".join(line + "\n" for block in blocks[::-1] for line in block))
+        cfg2 = write_config(tmp_path, reordered, out)
+        ckpt = out / "checkpoint.npz"
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg2), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: the stored user ids are not the dataset's\n"
+
     @pytest.mark.parametrize("section,values", [
         ("loss", {"alpha": 2.0}),
         ("eval", {"candidate_mode": "bogus"}),
@@ -577,6 +594,20 @@ class TestPipeline:
         assert "| Four\twith a tab |" in text
         for j in (0, 1, 5, 11):
             assert f"| Title {j} |" in text
+
+    def test_titles_file_with_crlf_line_ends(self, trained, tmp_path):
+        # the file is read in text mode, which turns CRLF into "\n"; a
+        # binary or newline="" read would leave a CR in every title
+        cfg, out = trained
+        titles = tmp_path / "titles.tsv"
+        titles.write_bytes("".join(f"i{j}\tTitle {j}\r\n" for j in range(12)).encode())
+        dest = tmp_path / "explain.md"
+        assert main(["explain", "-c", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                     "--user", "u0", "--titles", str(titles), "-o", str(dest)]) == 0
+        text = dest.read_bytes()  # bytes: read_text would turn a stray CR into a newline
+        assert b"\r" not in text
+        for j in range(12):
+            assert f"| Title {j} |".encode() in text
 
     def test_titles_not_utf8_is_a_config_error(self, trained, tmp_path, capsys):
         cfg, out = trained

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,16 @@ class TestRenderMarkdown:
         assert "Late Film" in text
         # item 2 has no title so its external id shows through
         assert "102" in text
+
+    def test_pipe_in_a_name_is_escaped(self):
+        item_ids = [str(100 + j) for j in range(8)]
+        titles = {"100": "Toy Story (1995)|Animation", "107": "a|b"}
+        text = render_markdown(self._report(), item_ids=item_ids, titles=titles)
+        assert r"| Toy Story (1995)\|Animation |" in text
+        assert r"| a\|b |" in text
+        for block in text.split("\n\n"):  # every row of a table has its header's cells
+            rows = [line for line in block.splitlines() if line.startswith("|")]
+            assert len({len(re.findall(r"(?<!\\)\|", row)) for row in rows}) <= 1, block
 
     def test_ends_with_newline(self):
         assert render_markdown(self._report()).endswith("\n")

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -305,3 +306,49 @@ class TestCheckpoint:
         np.savez(path, **blocks)
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
+
+
+def names(n, reverse=False):
+    ids = [str(i) for i in range(n)]
+    return ids[::-1] if reverse else ids
+
+
+class TestCheckpointFitsCorpus:
+    """Given a corpus, ``load_checkpoint`` checks the stored counts and ids
+    against it; without one, the same files load."""
+
+    @staticmethod
+    def saved(tmp_path, user_ids, item_ids):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, random_model(np.random.default_rng(11)),  # 5 users, 10 items
+                        user_ids=user_ids, item_ids=item_ids)
+        return path
+
+    @staticmethod
+    def corpus(num_users=5, num_items=10):
+        return make_interactions([[u] for u in range(num_users)], num_items=num_items)
+
+    @pytest.mark.parametrize("user_ids,item_ids", [
+        (names(5), names(10)), (None, None), (None, names(10)), (names(5), None),
+    ], ids=["both", "none", "items-only", "users-only"])
+    def test_fitting_checkpoint_loads(self, tmp_path, user_ids, item_ids):
+        path = self.saved(tmp_path, user_ids, item_ids)
+        model, meta = load_checkpoint(path, self.corpus())
+        assert (model.config.num_users, model.config.num_items) == (5, 10)
+        assert meta["user_ids"] == user_ids and meta["item_ids"] == item_ids
+
+    @pytest.mark.parametrize("num_users,num_items,user_ids,item_ids,message", [
+        (6, 10, names(5), names(10),
+         "checkpoint shape (5 users, 10 items) does not match the dataset (6 users, 10 items)"),
+        (5, 9, None, None,
+         "checkpoint shape (5 users, 10 items) does not match the dataset (5 users, 9 items)"),
+        (5, 10, names(5, reverse=True), names(10), "the stored user ids are not the dataset's"),
+        (5, 10, names(5), names(10, reverse=True), "the stored item ids are not the dataset's"),
+        (5, 10, names(4), None, "the stored user ids are not the dataset's"),
+    ], ids=["users", "items", "user-order", "item-order", "user-ids-short"])
+    def test_misfit_raises(self, tmp_path, num_users, num_items, user_ids, item_ids, message):
+        path = self.saved(tmp_path, user_ids, item_ids)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path, self.corpus(num_users, num_items))
+        model, _ = load_checkpoint(path)
+        assert (model.config.num_users, model.config.num_items) == (5, 10)

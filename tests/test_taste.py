@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from personacf.kmeans import (
 from personacf.model import BLOCK_VALUES, block_rows
 from personacf.taste import (
     TasteSpace,
+    TasteSpaceError,
     build_taste_space,
     hellinger,
     js_divergence,
+    load_taste_space,
     principal_axes,
+    save_taste_space,
     taste_distribution,
     tdd_report,
 )
@@ -228,6 +233,23 @@ class TestBlockedDistancesMatchOldCode:
         assert _sq_dists(2.0 * points, sq_norms, centroids).tobytes() == want.tobytes()
 
 
+def old_build_taste_space(train, pca_dims, k, rng, center=True):
+    """Straight-line copy of the build this module replaced: a C-order 0/1
+    user-by-item matrix whose transpose is centred into a new array."""
+    R = np.zeros((train.num_users, train.num_items))
+    R[train.event_users(), train.indices] = 1.0
+    X = R.T
+    mean = X.mean(axis=0) if center else np.zeros(train.num_users)
+    Xc = X - mean
+    s, Vt = principal_axes(Xc)
+    avail = min(pca_dims, int(np.count_nonzero(s > s[0] * 1e-12)) if len(s) else 0)
+    basis = np.zeros((pca_dims, train.num_users))
+    basis[:avail] = Vt[:avail]
+    vectors = Xc @ basis.T
+    means, _, _ = kmeans(vectors, k, rng)
+    return TasteSpace(vectors, means, basis, mean, center)
+
+
 class TestBuildTasteSpace:
     def test_disjoint_blocks_separate(self):
         # two user groups consuming two disjoint item blocks
@@ -259,6 +281,20 @@ class TestBuildTasteSpace:
             space.item_vectors[:, None] - space.item_vectors[None, :], axis=2
         )
         np.testing.assert_allclose(proj, orig, atol=1e-8)
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("num_users,num_items", [(50, 60), (40, 30)])
+    def test_same_bytes_as_the_copied_build(self, num_users, num_items, center):
+        rng = np.random.default_rng(num_users + num_items)
+        rows = [rng.choice(num_items, size=rng.integers(3, 15), replace=False)
+                for _ in range(num_users)]
+        data = make_interactions(rows, num_items=num_items)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = old_build_taste_space(data, 10, 4, np.random.default_rng(5), center)
+            got = build_taste_space(data, 10, 4, np.random.default_rng(5), center)
+        for name in ("item_vectors", "cluster_means", "pca_basis", "pca_mean"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_shapes(self):
         rng = np.random.default_rng(3)
@@ -319,8 +355,8 @@ class TestPrincipalAxes:
         assert space.pca_basis.tobytes() == expected.tobytes()
 
     def test_peak_memory_stays_near_two_matrices(self):
-        # the centred item-by-user matrix and LAPACK's copy of it; the 0/1
-        # matrix it came from is freed before the decomposition
+        # the centred item-by-user matrix, built and centred in place, and
+        # LAPACK's copy of it
         rng = np.random.default_rng(0)
         num_users, num_items = 200, 2000
         rows = [rng.choice(num_items, size=rng.integers(5, 40), replace=False)
@@ -333,6 +369,42 @@ class TestPrincipalAxes:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * num_items * num_users * 8
+
+
+class TestLoadTasteSpaceFitsCorpus:
+    """Given the training interactions, ``load_taste_space`` rejects a space
+    that does not fit them; without them, the same files load."""
+
+    train = make_interactions([[0, 1], [2, 3], [1]], num_items=4)
+
+    @staticmethod
+    def saved(tmp_path, vectors, means):
+        path = tmp_path / "space.npz"
+        save_taste_space(path, TasteSpace(vectors, means, np.eye(2, 3), np.zeros(3)))
+        return path
+
+    def test_fitting_space_loads(self, tmp_path):
+        path = self.saved(tmp_path, np.ones((4, 2)), np.ones((3, 2)))
+        assert load_taste_space(path, self.train).cluster_means.shape == (3, 2)
+
+    @pytest.mark.parametrize("vectors,means", [
+        (np.ones(4), np.ones((3, 2))),
+        (np.ones((4, 2)), np.ones(2)),
+        (np.ones((3, 2)), np.ones((3, 2))),
+        (np.ones((5, 2)), np.ones((3, 2))),
+        (np.ones((4, 2)), np.ones((0, 2))),
+        (np.ones((4, 2)), np.ones((3, 3))),
+    ], ids=["1-d-vectors", "1-d-means", "too-few-rows", "too-many-rows", "no-cluster-mean",
+            "mismatched-widths"])
+    def test_misfit_raises(self, tmp_path, vectors, means):
+        path = self.saved(tmp_path, vectors, means)
+        message = (f"taste space {path} has item vectors {vectors.shape} and cluster means "
+                   f"{means.shape}; the dataset has 4 items")
+        with pytest.raises(TasteSpaceError, match=re.escape(message)):
+            load_taste_space(path, self.train)
+        space = load_taste_space(path)
+        assert space.item_vectors.shape == vectors.shape
+        assert space.cluster_means.shape == means.shape
 
 
 class TestTasteDistribution:
