@@ -22,6 +22,11 @@ from .kmeans import kmeans
 from .model import read_npz
 from .ranking import top_k_recommendations
 
+try:  # the gufunc np.linalg.qr runs on its copy; numpy 1.x names it otherwise
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
+except ImportError:
+    _qr_r_raw = None
+
 
 class TasteSpaceError(ValueError):
     """Raised when a persisted taste space cannot be read."""
@@ -57,13 +62,11 @@ def build_taste_space(
     If the matrix rank falls short of ``pca_dims`` the trailing
     components are zero-padded with a warning.
     """
-    # items as rows, user coordinates as features: a Fortran-order matrix,
-    # centred in place (a C-order build gives other bytes)
-    Xc = np.zeros((train.num_users, train.num_items)).T
-    Xc[train.indices, train.event_users()] = 1.0
+    Xc = _item_matrix(train)
     mean = Xc.mean(axis=0) if center else np.zeros(train.num_users)
     Xc -= mean
     s, Vt = principal_axes(Xc)
+    del Xc  # factored in place; rebuilt below for the projection
     avail = min(pca_dims, int(np.count_nonzero(s > s[0] * 1e-12)) if len(s) else 0)
     basis = np.zeros((pca_dims, train.num_users))
     basis[:avail] = Vt[:avail]
@@ -73,7 +76,7 @@ def build_taste_space(
             "dimensions; trailing components zero-padded",
             stacklevel=2,
         )
-    vectors = Xc @ basis.T  # (num_items, pca_dims)
+    vectors = _item_matrix(train, mean) @ basis.T  # (num_items, pca_dims)
     means, _, _ = kmeans(vectors, k, rng)
     return TasteSpace(
         item_vectors=vectors,
@@ -82,6 +85,21 @@ def build_taste_space(
         pca_mean=mean,
         centered=center,
     )
+
+
+def _item_matrix(train: Interactions, mean: np.ndarray | None = None) -> np.ndarray:
+    """Items as rows, user coordinates as features: the 0/1 matrix in
+    Fortran order (a C-order build gives other bytes), less ``mean`` in
+    place when given."""
+    X = np.zeros((train.num_users, train.num_items)).T
+    X[train.indices, train.event_users()] = 1.0
+    if mean is not None:
+        X -= mean
+    return X
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def principal_axes(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +112,23 @@ def principal_axes(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of the n x n R factor. Doing that step here gives the same bytes and
     never builds the tall left vectors. Below the crossover ``dgesdd``
     bidiagonalises the matrix itself, so the direct call stays.
+
+    At and above the crossover a writeable float64 ``Xc`` is consumed: it
+    is factored in place (``np.linalg.qr(mode="r")`` without its copy) and
+    holds the raw QR factors afterwards. Any other array, or a numpy
+    without the ``qr_r_raw`` gufunc, goes through ``np.linalg.qr``.
     """
     rows, cols = Xc.shape
-    if rows >= int(cols * 11 / 6):
-        return np.linalg.svd(np.linalg.qr(Xc, mode="r"), full_matrices=False)[1:]
-    return np.linalg.svd(Xc, full_matrices=False)[1:]
+    if rows < int(cols * 11 / 6):
+        return np.linalg.svd(Xc, full_matrices=False)[1:]
+    if _qr_r_raw is None or Xc.dtype != np.float64 or not Xc.flags.writeable:
+        R = np.linalg.qr(Xc, mode="r")
+    else:
+        with np.errstate(call=_raise_qr_error, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            _qr_r_raw(Xc, signature="d->d")
+        R = np.triu(Xc[:cols])
+    return np.linalg.svd(R, full_matrices=False)[1:]
 
 
 def taste_distribution(items, space: TasteSpace) -> np.ndarray:

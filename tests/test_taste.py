@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_interactions, two_taste_corpus
+from personacf import taste
 from personacf.corpus import split_leave_one_out
 from personacf.kmeans import (
     N_INIT,
@@ -233,15 +234,25 @@ class TestBlockedDistancesMatchOldCode:
         assert _sq_dists(2.0 * points, sq_norms, centroids).tobytes() == want.tobytes()
 
 
+def old_principal_axes(Xc):
+    """Frozen copy of ``principal_axes`` before it factored its argument in
+    place: ``np.linalg.qr`` copies ``Xc`` and leaves it as it was."""
+    rows, cols = Xc.shape
+    if rows >= int(cols * 11 / 6):
+        return np.linalg.svd(np.linalg.qr(Xc, mode="r"), full_matrices=False)[1:]
+    return np.linalg.svd(Xc, full_matrices=False)[1:]
+
+
 def old_build_taste_space(train, pca_dims, k, rng, center=True):
     """Straight-line copy of the build this module replaced: a C-order 0/1
-    user-by-item matrix whose transpose is centred into a new array."""
+    user-by-item matrix whose transpose is centred into a new array, which
+    is factored through a copy and projected."""
     R = np.zeros((train.num_users, train.num_items))
     R[train.event_users(), train.indices] = 1.0
     X = R.T
     mean = X.mean(axis=0) if center else np.zeros(train.num_users)
     Xc = X - mean
-    s, Vt = principal_axes(Xc)
+    s, Vt = old_principal_axes(Xc)
     avail = min(pca_dims, int(np.count_nonzero(s > s[0] * 1e-12)) if len(s) else 0)
     basis = np.zeros((pca_dims, train.num_users))
     basis[:avail] = Vt[:avail]
@@ -283,8 +294,10 @@ class TestBuildTasteSpace:
         np.testing.assert_allclose(proj, orig, atol=1e-8)
 
     @pytest.mark.parametrize("center", [True, False])
-    @pytest.mark.parametrize("num_users,num_items", [(50, 60), (40, 30)])
+    @pytest.mark.parametrize("num_users,num_items", [(50, 60), (40, 30), (40, 300), (30, 1000)])
     def test_same_bytes_as_the_copied_build(self, num_users, num_items, center):
+        # the first two stay below the QR crossover (91 and 73 item rows),
+        # the last two factor the matrix in place
         rng = np.random.default_rng(num_users + num_items)
         rows = [rng.choice(num_items, size=rng.integers(3, 15), replace=False)
                 for _ in range(num_users)]
@@ -354,9 +367,37 @@ class TestPrincipalAxes:
         expected[:20] = Vt[:20]
         assert space.pca_basis.tobytes() == expected.tobytes()
 
-    def test_peak_memory_stays_near_two_matrices(self):
-        # the centred item-by-user matrix, built and centred in place, and
-        # LAPACK's copy of it
+    @pytest.mark.parametrize("cols", [3, 5, 17, 40, 100])
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_factors_in_place_from_the_crossover_on(self, cols, offset):
+        X = centred_binary(np.random.default_rng(cols), crossover(cols) + offset, cols)
+        before = X.copy()
+        principal_axes(X)
+        if offset < 0:
+            assert X.tobytes() == before.tobytes()
+        else:
+            assert np.triu(X[:cols]).tobytes() == np.linalg.qr(before, mode="r").tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 5), (72, 40), (73, 40), (2000, 300)])
+    @pytest.mark.parametrize("route", ["no-gufunc", "read-only"])
+    def test_qr_on_a_copy_gives_the_same_bytes(self, monkeypatch, shape, route):
+        # without numpy's in-place gufunc, or on a read-only matrix, the
+        # axes come through np.linalg.qr and the argument is left alone
+        X = centred_binary(np.random.default_rng(sum(shape)), *shape)
+        before = X.copy()
+        if route == "no-gufunc":
+            monkeypatch.setattr(taste, "_qr_r_raw", None)
+        else:
+            X.flags.writeable = False
+        _, s, Vt = np.linalg.svd(before, full_matrices=False)
+        got_s, got_Vt = principal_axes(X)
+        assert got_s.tobytes() == s.tobytes()
+        assert got_Vt.tobytes() == Vt.tobytes()
+        assert X.tobytes() == before.tobytes()
+
+    def test_peak_memory_stays_below_two_matrices(self):
+        # the centred item-by-user matrix, factored in place (LAPACK's
+        # working copy is not traced), then rebuilt once it is freed
         rng = np.random.default_rng(0)
         num_users, num_items = 200, 2000
         rows = [rng.choice(num_items, size=rng.integers(5, 40), replace=False)
@@ -368,7 +409,7 @@ class TestPrincipalAxes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * num_items * num_users * 8
+        assert peak <= 1.8 * num_items * num_users * 8
 
 
 class TestLoadTasteSpaceFitsCorpus:
