@@ -9,6 +9,8 @@ scored against the item vector plus an item bias.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import zipfile
 from dataclasses import asdict, dataclass, field
 
@@ -22,6 +24,10 @@ CATALOGUE_MIN = 2048  # smallest pool a scorer serves from the whole catalogue
 # cache. Adam steps of 801k values (train-ml) with blocks of 8k/16k/32k/64k/128k
 # values took 5.85/5.40/5.29/5.75/6.19 and 6.78/6.09/6.09/5.99/6.54 ms in two sweeps.
 BLOCK_VALUES = 32_768
+# Variables a BLAS library may take its thread count from in place of
+# OMP_NUM_THREADS, which OpenBLAS, MKL and BLIS all fall back to.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS")
 
 
 def block_rows(row_values: int) -> int:
@@ -158,6 +164,86 @@ def pool_scores(scores_over, num_items: int, candidates) -> np.ndarray:
     if len(candidates) >= max(CATALOGUE_MIN, num_items // 2):
         return scores_over(None)[candidates]
     return scores_over(candidates)
+
+
+def blas_threads(environ) -> int:
+    """The thread count every BLAS library takes from ``environ``:
+    ``OMP_NUM_THREADS`` when it is a positive integer and each of
+    ``BLAS_THREAD_VARS`` that is set holds the same value; else 0, unknown.
+    A library reads these once, when numpy loads, so ``BLAS_THREADS`` keeps
+    the count read when this module loads, after numpy."""
+    count = environ.get("OMP_NUM_THREADS", "").strip()
+    if not count.isdigit() or int(count) < 1:
+        return 0
+    if any(environ[var].strip() != count for var in BLAS_THREAD_VARS if var in environ):
+        return 0
+    return int(count)
+
+
+BLAS_THREADS = blas_threads(os.environ)
+
+
+def workers() -> int:
+    """Threads that may score users at once: the CPUs this process may run
+    on (``os.sched_getaffinity``, else ``os.cpu_count``) divided by
+    ``BLAS_THREADS``, at most 4. With the BLAS count unknown, BLAS may
+    already spread each product over every CPU, so 1."""
+    if BLAS_THREADS < 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(4, cpus // BLAS_THREADS))
+
+
+def map_users(fn, users, rows: int) -> list:
+    """``[fn(user) for user in users]``, in input order. ``fn`` is called
+    on several threads at once when each call spans at least
+    ``CATALOGUE_MIN`` rows (``rows``: the catalogue, for a user scored
+    over it) and ``workers() > 1``: the calling thread and
+    ``workers() - 1`` helpers take users in turn from a shared index. Every
+    helper has joined before this returns or raises; the exception of the
+    earliest failing user is raised, as from the loop. Below that size, or
+    with one worker, the calling thread takes every user and no thread
+    starts.
+
+    Each user's result comes from its own calls alone, and a BLAS call
+    gives the same bytes whichever thread makes it, so the results are the
+    loop's bytes. ``fn`` must not mutate shared state."""
+    users = list(users)
+    count = min(workers(), len(users)) if rows >= CATALOGUE_MIN else 1
+    results = [None] * len(users)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:  # after a failure no user is taken; all earlier ones are
+                if taken == len(users) or errors:
+                    return
+                i, taken = taken, taken + 1
+            try:
+                results[i] = fn(users[i])
+            except BaseException as exc:  # raised on the calling thread below
+                with lock:
+                    errors[i] = exc
+
+    helpers = []
+    try:
+        for _ in range(count - 1):
+            helper = threading.Thread(target=work, name="personacf-user", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def score_all_items(model: PersonaModel, user: int, candidates, projection=None) -> np.ndarray:

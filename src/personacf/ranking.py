@@ -13,6 +13,7 @@ import numpy as np
 
 from .corpus import Interactions
 from .fields import check_fields
+from .model import map_users
 
 
 @dataclass(frozen=True)
@@ -78,27 +79,37 @@ def evaluate(
 
     Candidates exclude the user's items in ``data``. In sampled mode
     negatives are drawn uniformly without replacement from the
-    non-interacted items.
+    non-interacted items, user by user on the calling thread. In
+    all-items mode users are ranked through ``map_users``, so ``scorer``
+    may be called from several threads at once.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    sampled = protocol.candidate_mode == "sampled"
+    histories = data.per_user_items  # built here, not raced for by helpers
+
+    def rank_of(user):
+        target = targets[user]
+        negatives = unconsumed(data.num_items, np.append(histories[user], target))
+        if sampled:
+            if len(negatives) >= protocol.num_sampled_negatives:
+                negatives = rng.choice(negatives, size=protocol.num_sampled_negatives,
+                                       replace=False)
+            elif len(negatives) == 0:
+                return None
+        candidates = np.concatenate([[target], negatives])
+        return _rank_of_target(np.asarray(scorer(user, candidates), dtype=float), candidates, 0)
+
+    users = sorted(targets)
+    ranks = [rank_of(u) for u in users] if sampled else map_users(rank_of, users, data.num_items)
     k = protocol.cutoff
     per_user: list[tuple[int, int]] = []
     skipped: list[int] = []
     hits = gains = 0.0
-    for user in sorted(targets):
-        target = targets[user]
-        pool = unconsumed(data.num_items, np.append(data.per_user_items[user], target))
-        negatives = pool
-        if protocol.candidate_mode == "sampled":
-            if len(pool) >= protocol.num_sampled_negatives:
-                negatives = rng.choice(pool, size=protocol.num_sampled_negatives, replace=False)
-            elif len(pool) == 0:
-                skipped.append(user)
-                continue
-        candidates = np.concatenate([[target], negatives])
-        scores = np.asarray(scorer(user, candidates), dtype=float)
-        rank = _rank_of_target(scores, candidates, 0)
+    for user, rank in zip(users, ranks):
+        if rank is None:
+            skipped.append(user)
+            continue
         per_user.append((user, rank))
         if rank <= k:
             hits += 1.0

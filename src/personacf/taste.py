@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Interactions, Split
 from .kmeans import kmeans
-from .model import read_npz
+from .model import map_users, read_npz
 from .ranking import top_k_recommendations
 
 try:  # the gufunc np.linalg.qr runs on its copy; numpy 1.x names it otherwise
@@ -187,21 +187,30 @@ def tdd_report(
     list_size: int = 30,
 ) -> TddReport:
     """Compare each user's top-``list_size`` recommendations against the
-    taste distribution of their training history."""
-    per_user: list[tuple[int, float, float]] = []
-    skipped: list[int] = []
-    for user in range(split.train.num_users):
-        history = split.train.per_user_items[user]
+    taste distribution of their training history. Users are scored through
+    ``map_users``, so ``scorer`` may be called from several threads at once."""
+    train = split.train
+    histories = train.per_user_items  # built here, not raced for by helpers
+
+    def distances(user):
+        history = histories[user]
         if len(history) == 0:
-            skipped.append(user)
-            continue
-        recs, _ = top_k_recommendations(scorer, user, split.train, list_size)
+            return None
+        recs, _ = top_k_recommendations(scorer, user, train, list_size)
         if not recs:
-            skipped.append(user)
-            continue
+            return None
         d = taste_distribution(recs, space)
         t = taste_distribution(history, space)
-        per_user.append((user, js_divergence(d, t), hellinger(d, t)))
+        return js_divergence(d, t), hellinger(d, t)
+
+    users = range(train.num_users)
+    per_user: list[tuple[int, float, float]] = []
+    skipped: list[int] = []
+    for user, found in zip(users, map_users(distances, users, train.num_items)):
+        if found is None:
+            skipped.append(user)
+        else:
+            per_user.append((user, *found))
     n = len(per_user)
     return TddReport(
         per_user=per_user,
